@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/percentile.hpp"
 #include "core/config.hpp"
 #include "core/pairing_engine.hpp"
 #include "core/seed_quantizer.hpp"
@@ -89,13 +90,8 @@ double io_wait_s() {
   return 0.002;  // ~one door-strike / reader actuation round-trip
 }
 
-double percentile_us(std::vector<double> values_s, double p) {
-  if (values_s.empty()) return 0.0;
-  std::sort(values_s.begin(), values_s.end());
-  const double rank = p * static_cast<double>(values_s.size());
-  std::size_t idx = static_cast<std::size_t>(rank);
-  if (idx >= values_s.size()) idx = values_s.size() - 1;
-  return values_s[idx] * 1e6;
+double percentile_us(const std::vector<double>& values_s, double q) {
+  return bench::nearest_rank(values_s, q) * 1e6;
 }
 
 std::array<std::uint8_t, kNonceBytes> nonce_from(std::uint64_t v) {
@@ -559,18 +555,11 @@ int main() {
               async_burst.io_wait_ms, async_burst.wall_s, async_burst.p50_verify_us,
               async_burst.p999_verify_us);
 
-  double one_thread = 0.0, four_thread = 0.0;
-  for (const Point& p : points) {
-    if (p.threads == 1) one_thread = p.grants_per_sec;
-    if (p.threads == 4) four_thread = p.grants_per_sec;
-  }
-  const double speedup = one_thread > 0.0 ? four_thread / one_thread : 0.0;
   std::uint64_t total_accepted_replays = 0;
   for (const Point& p : points) total_accepted_replays += p.accepted_replays;
 
-  std::printf("  \"speedup_4t_over_1t\": %.2f,\n  \"accepted_replays\": %llu,\n"
-              "  \"tau_deadline_violations\": %d\n}\n",
-              speedup, static_cast<unsigned long long>(total_accepted_replays), tau_violations);
+  std::printf("  \"accepted_replays\": %llu,\n  \"tau_deadline_violations\": %d\n}\n",
+              static_cast<unsigned long long>(total_accepted_replays), tau_violations);
 
   const bool shed_ok = burst.shed >= 1 && burst.granted + burst.shed == burst.submitted;
   // With coroutine serving, waits park in the timer wheel at EVERY thread

@@ -1,5 +1,5 @@
 // Concurrent pairing throughput: sessions/sec and service-latency
-// percentiles of core::PairingEngine vs. worker-thread count. Emits a JSON
+// percentiles of core::PairingEngine vs. engine thread count. Emits a JSON
 // curve (one object per thread count) plus the 4-thread-over-1-thread
 // speedup and the total count of tau-deadline violations (must stay zero).
 //
@@ -8,13 +8,15 @@
 // noise, so the seed mismatch sits far below eta and every session succeeds
 // deterministically; no trained model is needed, keeping the bench CI-cheap.
 //
-// Each session spends `radio_wait_ms` blocked in emulated radio I/O (BLE
-// connection-interval round-trips between the phone and the reader). Worker
-// threads overlap those waits, which is what the throughput curve measures;
-// it therefore scales with thread count even on a single-core host. Real
-// crypto cost is still charged into each session's virtual clock by the
-// protocol layer, so CPU contention between concurrent sessions counts
-// against the tau window and would surface as tau violations.
+// Each session spends `radio_wait_ms` in emulated radio I/O (BLE
+// connection-interval round-trips between the phone and the reader),
+// suspended on the engine's event loop. With N engine threads, N sessions
+// are in service at once and their waits overlap, which is what the
+// throughput curve measures; it therefore scales with thread count even on
+// a single-core host. Real crypto cost is still charged into each session's
+// virtual clock by the protocol layer, so CPU contention between concurrent
+// sessions counts against the tau window and would surface as tau
+// violations.
 //
 // Two further sections cover the cross-session batched encoder stage
 // (DESIGN.md §11):
@@ -44,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/percentile.hpp"
 #include "core/batched_encoder.hpp"
 #include "core/config.hpp"
 #include "core/encoders.hpp"
@@ -94,13 +97,8 @@ double radio_wait_s() {
   return 0.045;  // ~3 BLE connection intervals at 15 ms
 }
 
-double percentile_ms(std::vector<double> values_s, double p) {
-  if (values_s.empty()) return 0.0;
-  std::sort(values_s.begin(), values_s.end());
-  const double rank = p * static_cast<double>(values_s.size());
-  std::size_t idx = static_cast<std::size_t>(rank);
-  if (idx >= values_s.size()) idx = values_s.size() - 1;
-  return values_s[idx] * 1000.0;
+double percentile_ms(const std::vector<double>& values_s, double q) {
+  return bench::nearest_rank(values_s, q) * 1000.0;
 }
 
 struct Point {

@@ -50,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/percentile.hpp"
 #include "crypto/hmac.hpp"
 #include "runtime/cpu.hpp"
 #include "server/access_protocol.hpp"
@@ -250,14 +251,6 @@ double run_authorize(std::size_t threads, const std::vector<std::vector<Probe>>&
   for (const auto& probes : per_thread) total += probes.size();
   *failures_out += failures.load();
   return static_cast<double>(total) / wall;
-}
-
-double percentile_ns(std::vector<std::uint64_t> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  std::size_t idx = static_cast<std::size_t>(p * static_cast<double>(samples.size()));
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return static_cast<double>(samples[idx]);
 }
 
 }  // namespace
@@ -469,11 +462,11 @@ int main() {
     if (failures != 0) all_ok = false;
     const std::vector<std::uint64_t> samples = lv.lock_hold_samples_ns();
     if (optimistic) {
-      opt_p50 = percentile_ns(samples, 0.50);
-      opt_p99 = percentile_ns(samples, 0.99);
+      opt_p50 = bench::nearest_rank(samples, 0.50);
+      opt_p99 = bench::nearest_rank(samples, 0.99);
     } else {
-      cls_p50 = percentile_ns(samples, 0.50);
-      cls_p99 = percentile_ns(samples, 0.99);
+      cls_p50 = bench::nearest_rank(samples, 0.50);
+      cls_p99 = bench::nearest_rank(samples, 0.99);
     }
   }
   std::printf("\n  ],\n  \"lock_hold\": {\"sessions\": %zu, \"ops\": %zu, "

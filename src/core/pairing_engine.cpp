@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <future>
 #include <mutex>
+#include <optional>
 #include <random>
-#include <thread>
 
 #include "core/batched_encoder.hpp"
 #include "crypto/drbg.hpp"
 #include "numeric/rng.hpp"
-#include "runtime/bounded_queue.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/event_loop.hpp"
+#include "runtime/task.hpp"
 
 namespace wavekey::core {
 
@@ -34,30 +33,28 @@ struct Job {
 struct PairingEngine::Impl {
   const SeedQuantizer& quantizer;
   PairingEngineConfig config;
-  runtime::BoundedQueue<Job> queue;
-  runtime::ThreadPool pool;
-  std::vector<std::future<void>> drainers;
   std::mutex reports_mutex;
   std::vector<PairingReport> reports;
   bool finished = false;
+  // Declared after everything the lane coroutines touch; destroyed first.
+  runtime::EventLoop loop;
+  runtime::AsyncQueue<Job> queue;
 
   Impl(const SeedQuantizer& q, const PairingEngineConfig& c)
-      : quantizer(q),
-        config(c),
-        queue(c.queue_capacity),
-        pool(std::max<std::size_t>(c.threads, 1)) {
+      : quantizer(q), config(c), loop(c.threads), queue(loop, c.queue_capacity) {
     // The protocol's seed length must match what the quantizer emits.
     config.session.params.seed_bits = quantizer.seed_bits();
-    // One drainer per worker thread: each loops over the admission queue
-    // until it is closed and drained, so the pool never idles while jobs
-    // are pending and blocking radio waits overlap across sessions.
-    for (std::size_t t = 0; t < pool.size(); ++t)
-      drainers.push_back(pool.submit([this] {
-        while (auto job = queue.pop()) service(std::move(*job));
-      }));
+    // One lane per loop thread, each servicing one session at a time, so
+    // `threads` is the number of sessions in service at once.
+    for (std::size_t t = 0; t < loop.threads(); ++t) loop.spawn(lane());
   }
 
-  void service(Job&& job) {
+  /// Pops jobs until the queue is closed and drained.
+  runtime::Task<void> lane() {
+    while (std::optional<Job> job = co_await queue.pop()) co_await service(std::move(*job));
+  }
+
+  runtime::Task<void> service(Job job) {
     const Clock::time_point start = Clock::now();
     PairingReport report;
     report.id = job.request.id;
@@ -69,11 +66,12 @@ struct PairingEngine::Impl {
       std::vector<double> server_latent = std::move(job.request.server_latent);
       if (config.encoder_service != nullptr && job.request.imu_input.size() > 0 &&
           job.request.rf_input.size() > 0) {
-        // Cross-session batched encode: this worker parks in the coalescing
-        // stage until its batch dispatches. Both the hold time and this
-        // session's 1/B share of the batched forwards are charged into the
-        // virtual session clock — batching amortizes compute but never
-        // hides latency from the tau budget (DESIGN.md §11.2).
+        // Cross-session batched encode: this lane blocks its loop thread in
+        // the coalescing stage until its batch dispatches. Both the hold
+        // time and this session's 1/B share of the batched forwards are
+        // charged into the virtual session clock — batching amortizes
+        // compute but never hides latency from the tau budget (DESIGN.md
+        // §11.2).
         const EncodedLatents enc =
             config.encoder_service->encode(job.request.imu_input, job.request.rf_input);
         mobile_latent = enc.mobile;
@@ -104,11 +102,10 @@ struct PairingEngine::Impl {
       session.mobile_compute_s += mobile_quant_s;
       session.server_compute_s += server_quant_s;
 
-      // Blocking radio I/O emulation: the exchange spends real time waiting
-      // on the air interface (BLE connection intervals). Sleeping releases
-      // this worker's CPU so other sessions' compute proceeds underneath.
-      if (config.radio_wait_s > 0.0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(config.radio_wait_s));
+      // Radio I/O emulation: the exchange spends real time waiting on the
+      // air interface (BLE connection intervals). The lane suspends into the
+      // timer wheel, freeing its loop thread for other lanes' compute.
+      co_await loop.sleep_for(config.radio_wait_s);
 
       crypto::Drbg mobile_rng(job.request.rng_seed ^ 0xAB1Eull);
       crypto::Drbg server_rng(job.request.rng_seed ^ 0x5E44ull);
@@ -137,8 +134,8 @@ struct PairingEngine::Impl {
     if (!finished) {
       finished = true;
       queue.close();
-      for (auto& f : drainers) f.get();
-      drainers.clear();
+      loop.close();
+      loop.drain();
     }
     std::lock_guard<std::mutex> lock(reports_mutex);
     std::vector<PairingReport> out = reports;
@@ -152,7 +149,7 @@ PairingEngine::PairingEngine(const SeedQuantizer& quantizer, const PairingEngine
     : impl_(new Impl(quantizer, config)) {}
 
 PairingEngine::~PairingEngine() {
-  impl_->finish();  // close + drain before the pool is torn down
+  impl_->finish();  // close + drain before the loop is torn down
   delete impl_;
 }
 
@@ -162,6 +159,6 @@ bool PairingEngine::submit(PairingRequest request) {
 
 std::vector<PairingReport> PairingEngine::finish() { return impl_->finish(); }
 
-std::size_t PairingEngine::threads() const { return impl_->pool.size(); }
+std::size_t PairingEngine::threads() const { return impl_->loop.threads(); }
 
 }  // namespace wavekey::core

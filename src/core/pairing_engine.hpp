@@ -1,9 +1,9 @@
 #pragma once
 
 // Concurrent pairing service: services N independent pairing sessions
-// (quantize -> OT -> fuzzy commitment -> verify) from a bounded MPMC
-// admission queue using a fixed-size runtime::ThreadPool, with per-session
-// latency accounting against the paper's tau window.
+// (quantize -> OT -> fuzzy commitment -> verify) from a bounded admission
+// queue on a runtime::EventLoop, with per-session latency accounting against
+// the paper's tau window.
 //
 // This models an RFID reader / access-control head-end serving several
 // simultaneous gesture taps: each submitted request carries the two latent
@@ -17,16 +17,21 @@
 //    CPU contention between concurrent sessions genuinely inflates each
 //    session's critical-message arrival and can breach gesture_window + tau;
 //  * *wall metrics* (queue_wait_s, service_s) for throughput accounting.
-// `radio_wait_s` emulates blocking radio I/O (BLE connection-interval
-// round-trips) with a real sleep inside each session; worker threads overlap
-// these waits, which is where the engine's throughput scaling comes from on
-// machines with few cores.
+// `radio_wait_s` emulates radio I/O (BLE connection-interval round-trips) as
+// a real wait inside each session; the waiting session suspends on the
+// loop's timer wheel, so other sessions' compute overlaps it. That overlap is
+// where the engine's throughput scaling comes from on machines with few
+// cores.
+//
+// Execution: `threads` loop threads run `threads` lane coroutines; each lane
+// pops one session at a time from a runtime::AsyncQueue, so `threads` is the
+// number of sessions in service at once.
 //
 // Thread-safety: submit() may be called from any number of producer threads
 // concurrently. finish() must be called exactly once, from one thread, after
 // all producers are done; it closes the queue, drains every pending session,
-// joins the workers, and returns the reports sorted by request id. The
-// engine must outlive all submit() calls.
+// stops the loop, and returns the reports sorted by request id. The engine
+// must outlive all submit() calls.
 
 #include <cstdint>
 #include <functional>
@@ -38,29 +43,25 @@
 #include "numeric/bitvec.hpp"
 #include "protocol/session.hpp"
 
-namespace wavekey::runtime {
-class ThreadPool;
-}
-
 namespace wavekey::core {
 
 class BatchedEncoderService;
 
 struct PairingEngineConfig {
-  std::size_t threads = 1;         ///< worker threads servicing sessions
+  std::size_t threads = 1;         ///< sessions in service at once (loop threads)
   std::size_t queue_capacity = 64; ///< bounded admission queue (backpressure)
-  /// Emulated blocking radio I/O per session (seconds of real sleep spread
-  /// across the exchange). Zero disables the emulation.
+  /// Emulated radio I/O per session (seconds of real wait, suspended on the
+  /// loop's timer wheel). Zero disables the emulation.
   double radio_wait_s = 0.0;
   /// Per-session protocol timing (tau, gesture window, link latency). The
   /// engine overwrites `session.params.seed_bits` from the quantizer.
   protocol::SessionConfig session;
   /// Streaming handoff of established keys (pairing → server::KeyVault):
-  /// invoked on the worker thread the moment a session succeeds, before the
+  /// invoked on a loop thread the moment a session succeeds, before the
   /// report is filed — so the backend can start serving access requests for
   /// the session without waiting for finish(). The callback runs
-  /// concurrently from every worker and must be thread-safe; keep it cheap
-  /// (a vault insert), as its wall time counts against the worker.
+  /// concurrently from every lane and must be thread-safe; keep it cheap
+  /// (a vault insert), as its wall time counts against the lane.
   std::function<void(std::uint64_t id, const BitVec& key)> on_established;
   /// Optional cross-session batched encoder stage (DESIGN.md §11). When set,
   /// requests that carry raw sensor tensors are encoded through the shared
@@ -126,7 +127,7 @@ class PairingEngine {
   /// Returns false once finish() has closed the queue.
   bool submit(PairingRequest request);
 
-  /// Closes the queue, drains all pending sessions, joins the workers and
+  /// Closes the queue, drains all pending sessions, stops the loop and
   /// returns every report sorted by request id. Idempotent.
   std::vector<PairingReport> finish();
 

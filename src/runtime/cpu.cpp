@@ -9,17 +9,19 @@
 namespace wavekey::runtime::cpu {
 namespace {
 
-// Cached tiers. kUnset marks "not yet resolved"; resolution is idempotent,
+// Cached state. kUnset marks "not yet resolved"; resolution is idempotent,
 // so a benign race between first callers resolves to the same value.
+// g_ceiling is the requested tier before clamping to the hardware (kAvx2
+// when nothing is pinned): active_tier() is min(ceiling, detected), and
+// sha_ni_active() needs to know whether scalar was asked for or detected.
 constexpr int kUnset = -1;
 std::atomic<int> g_detected{kUnset};
-std::atomic<int> g_active{kUnset};
+std::atomic<int> g_ceiling{kUnset};
 
 SimdTier probe_hardware() {
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return SimdTier::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdTier::kSse2;
   return SimdTier::kScalar;
 #else
   // Non-x86: only the portable kernels are compiled for dispatch.
@@ -39,12 +41,38 @@ void log_decision(SimdTier active, SimdTier detected, const char* env) {
   });
 }
 
+/// WAVEKEY_SIMD value -> requested ceiling; unset, empty and unknown values
+/// request no limit (kAvx2).
+SimdTier parse_ceiling(const char* env) {
+  if (env == nullptr || *env == '\0') return SimdTier::kAvx2;
+  if (std::strcmp(env, "scalar") == 0) return SimdTier::kScalar;
+  if (std::strcmp(env, "avx2") == 0) return SimdTier::kAvx2;
+  std::fprintf(stderr, "wavekey: ignoring unknown WAVEKEY_SIMD value '%s'\n", env);
+  return SimdTier::kAvx2;
+}
+
+SimdTier clamp(SimdTier requested, SimdTier detected) {
+  // Never raise above what the hardware can execute.
+  return requested < detected ? requested : detected;
+}
+
+SimdTier ceiling() {
+  int cached = g_ceiling.load(std::memory_order_relaxed);
+  if (cached == kUnset) {
+    const char* env = std::getenv("WAVEKEY_SIMD");
+    const SimdTier requested = parse_ceiling(env);
+    log_decision(clamp(requested, detected_tier()), detected_tier(), env);
+    cached = static_cast<int>(requested);
+    g_ceiling.store(cached, std::memory_order_relaxed);
+  }
+  return static_cast<SimdTier>(cached);
+}
+
 }  // namespace
 
 const char* tier_name(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar: return "scalar";
-    case SimdTier::kSse2: return "sse2";
     case SimdTier::kAvx2: return "avx2";
   }
   return "unknown";
@@ -60,34 +88,10 @@ SimdTier detected_tier() {
 }
 
 SimdTier resolve_tier(const char* env, SimdTier detected) {
-  if (env == nullptr || *env == '\0') return detected;
-  SimdTier requested;
-  if (std::strcmp(env, "scalar") == 0) {
-    requested = SimdTier::kScalar;
-  } else if (std::strcmp(env, "sse2") == 0) {
-    requested = SimdTier::kSse2;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    requested = SimdTier::kAvx2;
-  } else {
-    std::fprintf(stderr, "wavekey: ignoring unknown WAVEKEY_SIMD value '%s'\n", env);
-    return detected;
-  }
-  // Never raise above what the hardware can execute.
-  return requested < detected ? requested : detected;
+  return clamp(parse_ceiling(env), detected);
 }
 
-SimdTier active_tier() {
-  int cached = g_active.load(std::memory_order_relaxed);
-  if (cached == kUnset) {
-    const SimdTier detected = detected_tier();
-    const char* env = std::getenv("WAVEKEY_SIMD");
-    const SimdTier active = resolve_tier(env, detected);
-    log_decision(active, detected, env);
-    cached = static_cast<int>(active);
-    g_active.store(cached, std::memory_order_relaxed);
-  }
-  return static_cast<SimdTier>(cached);
-}
+SimdTier active_tier() { return clamp(ceiling(), detected_tier()); }
 
 bool detected_sha_ni() {
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
@@ -101,16 +105,11 @@ bool detected_sha_ni() {
 #endif
 }
 
-bool sha_ni_active() { return detected_sha_ni() && active_tier() > SimdTier::kScalar; }
+bool sha_ni_active() { return detected_sha_ni() && ceiling() != SimdTier::kScalar; }
 
 void force_tier_for_testing(std::optional<SimdTier> tier) {
-  if (!tier.has_value()) {
-    g_active.store(kUnset, std::memory_order_relaxed);
-    return;
-  }
-  const SimdTier detected = detected_tier();
-  const SimdTier clamped = *tier < detected ? *tier : detected;
-  g_active.store(static_cast<int>(clamped), std::memory_order_relaxed);
+  g_ceiling.store(tier.has_value() ? static_cast<int>(*tier) : kUnset,
+                  std::memory_order_relaxed);
 }
 
 }  // namespace wavekey::runtime::cpu

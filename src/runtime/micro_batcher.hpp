@@ -27,13 +27,12 @@
 // does the latter, because the underlying nn::Sequential is externally
 // synchronized (layer.hpp).
 //
-// Thread-safety: submit()/close()/stats() are safe from any thread. The
-// same wait/notify discipline as runtime::BoundedQueue applies: every state
-// flag is mutated under the one mutex and notified via notify_all, so a
-// timed waiter racing close() either observes the flushed results or
-// becomes the leader itself — there is no window in which an item can be
-// dropped (see bounded_queue.hpp "Lost-wakeup audit" and the
-// BoundedQueueClose* regression tests).
+// Thread-safety: submit()/close()/stats() are safe from any thread. Every
+// state flag is mutated under the one mutex and notified via notify_all, and
+// every timed wait re-checks its predicate under that mutex before deciding
+// it timed out. So a timed waiter racing close() either observes the flushed
+// results or becomes the leader itself — there is no window in which an item
+// can be dropped.
 
 #include <chrono>
 #include <condition_variable>

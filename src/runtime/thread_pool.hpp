@@ -1,8 +1,9 @@
 #pragma once
 
 // Fixed-size thread pool and deterministic parallel-for — the concurrency
-// substrate for the batched training hot paths (src/nn) and the concurrent
-// pairing engine (core::PairingEngine). Deliberately work-stealing-free:
+// substrate for the batched training and inference hot paths (src/nn,
+// through compute_pool()). Serving paths run on runtime::EventLoop instead.
+// Deliberately work-stealing-free:
 // work is split into a *fixed, size-derived* number of chunks so that the
 // floating-point reduction order — and therefore every trained weight and
 // every bench table — is a pure function of (input, pool size), never of

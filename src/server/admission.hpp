@@ -10,9 +10,8 @@
 //    instead of queueing into latency that would blow deadlines anyway.
 //
 // Rejecting is O(1) and callback-synchronous, so overload degrades into
-// cheap typed errors rather than unbounded queueing (the BoundedQueue
-// blocking push stays reserved for the pairing engine, where backpressure
-// is the right policy).
+// cheap typed errors rather than unbounded queueing. (Blocking backpressure
+// is the pairing engine's policy, not the access server's.)
 //
 // Time is caller-supplied seconds, like the vault.
 //

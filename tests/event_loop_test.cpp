@@ -260,6 +260,46 @@ TEST(AsyncQueue, TryPushReportsFullOnlyWithNoParkedConsumer) {
   loop.drain();
 }
 
+TEST(AsyncQueue, PushAfterCloseFails) {
+  EventLoop loop(1);
+  AsyncQueue<int> queue(loop, 4);
+  queue.close();
+  EXPECT_FALSE(queue.push(1));
+  EXPECT_EQ(queue.try_push(2), AsyncQueue<int>::PushResult::kClosed);
+  EXPECT_EQ(queue.size(), 0u);
+  loop.close();
+  loop.drain();
+}
+
+Task<void> pop_one(AsyncQueue<int>* q, std::atomic<int>* got) {
+  std::optional<int> item = co_await q->pop();
+  got->store(item.value_or(-1));
+}
+
+// PairingEngine::submit relies on this: a full queue with no parked consumer
+// blocks the producer until a consumer takes an item.
+TEST(AsyncQueue, BlockingPushAtCapacityWaitsForConsumer) {
+  EventLoop loop(1);
+  AsyncQueue<int> queue(loop, 1);
+  ASSERT_TRUE(queue.push(1));
+  std::atomic<bool> second_pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.push(2));  // blocks until the consumer pops
+    second_pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(second_pushed.load());
+  std::atomic<int> got{0};
+  ASSERT_TRUE(loop.spawn(pop_one(&queue, &got)));
+  producer.join();
+  EXPECT_TRUE(second_pushed.load());
+  EXPECT_EQ(got.load(), 1);
+  EXPECT_EQ(queue.size(), 1u);  // item 2 waits for the next consumer
+  queue.close();
+  loop.close();
+  loop.drain();
+}
+
 // The satellite fix this PR makes to gateway shutdown: consumers parked in
 // pop() are woken by close() itself (a posted handle), not by a polling
 // re-check. An empty-queue close must therefore complete in scheduling

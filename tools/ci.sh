@@ -24,6 +24,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${WAVEKEY_CI_JOBS:-$(nproc)}"
 MODE="${1:-all}"
+USAGE="usage: tools/ci.sh [--plain-only|--sanitize-only|--tsan-only|--perf-only]"
+case "$MODE" in
+  all|--plain-only|--sanitize-only|--tsan-only|--perf-only) ;;
+  *) echo "$USAGE" >&2; exit 2 ;;
+esac
+if [ "$#" -gt 1 ]; then echo "$USAGE" >&2; exit 2; fi
 
 run_suite() {
   local name="$1" dir="$2"
@@ -439,7 +445,7 @@ case "$MODE" in
                grants_test micro_batcher_test event_loop_test flat_map_test
     echo "=== [tsan] ctest (concurrency suites) ==="
     ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'ThreadPool|BoundedQueue|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+      -R 'ThreadPool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     ;;
 esac
 

@@ -504,7 +504,8 @@ int main() {
         "%s    {\"threads\": %zu, \"shards\": %zu, \"wall_s\": %.3f, "
         "\"grants_per_sec\": %.2f, \"io_overlap\": %.1f, \"granted\": %llu, "
         "\"replay_rejected\": %llu, "
-        "\"expired\": %llu, \"revoked\": %llu, \"stale_epoch\": %llu, \"bad_mac\": %llu, "
+        "\"expired\": %llu, \"unknown_session\": %llu, \"revoked\": %llu, "
+        "\"stale_epoch\": %llu, \"bad_mac\": %llu, "
         "\"rate_limited\": %llu, \"shed\": %llu, \"malformed\": %llu, "
         "\"accepted_replays\": %llu, \"p50_verify_us\": %.1f, \"p95_verify_us\": %.1f, "
         "\"p99_verify_us\": %.1f, \"p999_verify_us\": %.1f, \"ledger_ok\": %s}",
@@ -512,6 +513,7 @@ int main() {
         static_cast<unsigned long long>(p.stats.granted),
         static_cast<unsigned long long>(p.stats.replay_rejected),
         static_cast<unsigned long long>(p.stats.expired),
+        static_cast<unsigned long long>(p.stats.unknown_session),
         static_cast<unsigned long long>(p.stats.revoked),
         static_cast<unsigned long long>(p.stats.stale_epoch),
         static_cast<unsigned long long>(p.stats.bad_mac),

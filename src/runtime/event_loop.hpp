@@ -24,17 +24,18 @@
 //    drains — this is the notify-driven shutdown that replaces the old
 //    fixed-slice try_pop_for polling loop.
 //
-// Timer wheel: 4 levels x 64 slots at 100 us/tick (spans 6.4 ms, 409.6 ms,
-// 26.2 s, ~28 min; farther deadlines clamp into the top level and re-cascade).
-// Insert and expire are O(1) amortized; the timer thread sleeps until the
-// next expiry hint and waits indefinitely when no timers are pending — it
-// never polls.
+// Timers: a runtime::TimerWheel (timer_wheel.hpp) at 100 us/tick on the
+// steady clock (level spans 6.4 ms, 409.6 ms, 26.2 s, ~28 min; farther
+// deadlines park in the top level and re-cascade). The timer thread sleeps
+// until the wheel's next wake tick and waits indefinitely when no timers are
+// pending — it never polls.
 //
 // Thread-safety: all public methods are thread-safe. A coroutine handle is
 // owned by exactly one queue (ready deque, wheel slot, or AsyncQueue waiter
 // list) at a time, so each frame is resumed by exactly one worker.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <coroutine>
 #include <cstddef>
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "runtime/task.hpp"
+#include "runtime/timer_wheel.hpp"
 
 namespace wavekey::runtime {
 
@@ -107,10 +109,14 @@ class EventLoop {
  private:
   friend struct detail_spawn_access;
 
+  using Clock = std::chrono::steady_clock;
+
   void worker_main();
   void timer_main();
   void schedule_timer(std::coroutine_handle<> h, double seconds);
   void task_finished();
+  std::uint64_t tick_of(Clock::time_point t) const;  ///< wheel tick containing t
+  Clock::time_point time_of(std::uint64_t tick) const;
 
   // Ready queue.
   mutable std::mutex ready_mutex_;
@@ -130,11 +136,11 @@ class EventLoop {
   std::atomic<std::uint64_t> timers_scheduled_{0};
   std::atomic<std::uint64_t> timers_fired_{0};
 
-  // Timer wheel (guarded by timer_mutex_; layout in event_loop.cpp).
-  struct TimerWheel;
+  // Timer wheel (guarded by timer_mutex_); tick 0 starts at epoch_.
+  const Clock::time_point epoch_;
   mutable std::mutex timer_mutex_;
   std::condition_variable timer_cv_;
-  TimerWheel* wheel_ = nullptr;  // owned; defined in the .cpp
+  TimerWheel<std::coroutine_handle<>> wheel_;
   bool timer_stop_ = false;
 
   std::vector<std::thread> workers_;

@@ -1,13 +1,12 @@
 #include "server/cluster.hpp"
 
 #include <chrono>
-#include <deque>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "protocol/arq.hpp"
 #include "protocol/wire.hpp"
+#include "runtime/flat_map.hpp"
 
 namespace wavekey::server {
 
@@ -161,11 +160,11 @@ struct VaultCluster::Node {
   NodeState state = NodeState::kUp;
   std::unique_ptr<KeyVault> vault;
   std::unique_ptr<AuditLog> audit;  ///< hash-chained decision log (audit.hpp)
-  // Idempotency cache, FIFO-bounded. Guarded by its own mutex so serving
-  // threads on different nodes never contend.
+  // Idempotency cache keyed by request id, FIFO-bounded: a hit never
+  // touches, so the map's LRU order is insertion order. Guarded by its own
+  // mutex so serving threads on different nodes never contend.
   mutable std::mutex dedup_mutex;
-  std::unordered_map<std::uint64_t, DedupEntry> dedup;
-  std::deque<std::uint64_t> dedup_fifo;
+  runtime::FlatMap<DedupEntry> dedup;
 };
 
 struct VaultCluster::Impl {
@@ -211,19 +210,21 @@ struct VaultCluster::Impl {
   /// capacity bound. No-op if the id is already cached (a re-replication).
   void cache_response(Node& node, std::uint64_t request_id, DedupEntry entry) {
     std::lock_guard<std::mutex> lock(node.dedup_mutex);
-    if (!node.dedup.emplace(request_id, std::move(entry)).second) return;
-    node.dedup_fifo.push_back(request_id);
-    while (node.dedup_fifo.size() > config.dedup_capacity) {
-      node.dedup.erase(node.dedup_fifo.front());
-      node.dedup_fifo.pop_front();
-    }
+    if (config.dedup_capacity == 0 ||
+        node.dedup.find_index(request_id) != runtime::FlatMap<DedupEntry>::kNil)
+      return;
+    // Evict before inserting: the insert reuses the freed pool slot, so the
+    // pool never grows past dedup_capacity entries.
+    while (node.dedup.size() >= config.dedup_capacity)
+      node.dedup.erase_index(node.dedup.lru_tail());
+    node.dedup.at(node.dedup.find_or_insert(request_id).first) = std::move(entry);
   }
 
   std::optional<DedupEntry> cached_response(Node& node, std::uint64_t request_id) const {
     std::lock_guard<std::mutex> lock(node.dedup_mutex);
-    auto it = node.dedup.find(request_id);
-    if (it == node.dedup.end()) return std::nullopt;
-    return it->second;
+    const DedupEntry* entry = node.dedup.find(request_id);
+    if (entry == nullptr) return std::nullopt;
+    return *entry;
   }
 
   /// Ships partition `p` from `source` to `target`: session state (replay
@@ -234,11 +235,15 @@ struct VaultCluster::Impl {
     const auto pred = [&](std::uint64_t sid) { return partition_of(sid, partitions) == p; };
     const std::vector<ExportedSession> exported = nodes[source]->vault->export_sessions(pred);
     const std::size_t moved = nodes[target]->vault->import_sessions(exported);
+    // Oldest-first, so the target's FIFO evicts the migrated records in the
+    // order the source would have.
     std::vector<std::pair<std::uint64_t, DedupEntry>> records;
     {
       std::lock_guard<std::mutex> lock(nodes[source]->dedup_mutex);
-      for (const auto& [id, entry] : nodes[source]->dedup)
-        if (entry.partition == p) records.emplace_back(id, entry);
+      nodes[source]->dedup.for_each_lru_oldest_first(
+          [&](std::uint64_t id, const DedupEntry& entry) {
+            if (entry.partition == p) records.emplace_back(id, entry);
+          });
     }
     for (auto& [id, entry] : records) cache_response(*nodes[target], id, std::move(entry));
     bump(&ClusterStats::sessions_migrated, moved);
@@ -406,7 +411,6 @@ void VaultCluster::crash(NodeId node) {
   {
     std::lock_guard<std::mutex> dedup_lock(n.dedup_mutex);
     n.dedup.clear();
-    n.dedup_fifo.clear();
   }
   impl_->bump(&ClusterStats::crashes);
 }
@@ -440,7 +444,6 @@ void VaultCluster::drain(NodeId node) {
   {
     std::lock_guard<std::mutex> dedup_lock(n.dedup_mutex);
     n.dedup.clear();
-    n.dedup_fifo.clear();
   }
   impl_->bump(&ClusterStats::drains);
 }

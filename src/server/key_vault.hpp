@@ -107,7 +107,6 @@ class KeyVault {
   // cpp-local lock-instrumentation helper can name them).
   struct Entry;
   struct Shard;
-  struct TtlWheel;
 
   explicit KeyVault(const VaultConfig& config);
   ~KeyVault();

@@ -472,6 +472,54 @@ TEST(VaultClusterTest, DrainHandsOffWithNoClientVisibleGap) {
   EXPECT_EQ(cluster.stats().unavailable, unavailable_before);
 }
 
+TEST(VaultClusterTest, MigratedDedupRecordsKeepTheirAgeOrder) {
+  // A partition's idempotency records migrate to a node that never saw the
+  // requests. They must arrive oldest-first: the receiver's FIFO then evicts
+  // the oldest migrated record first, and a retry of the newest pre-drain
+  // request is still answered from the cache instead of re-executing (which
+  // would answer kReplay to the request's own retry).
+  ClusterConfig config;
+  config.nodes = 3;
+  config.partitions = 1;
+  config.dedup_capacity = 8;
+  VaultCluster cluster(config);
+  crypto::Drbg drbg(88);
+  const SessionKey key = random_key(drbg);
+  constexpr std::uint64_t kSid = 21;
+  ASSERT_TRUE(cluster.install(kSid, key));
+  const PartitionOwners before = cluster.owners_of(kSid);
+
+  std::uint64_t request_id = 2000;
+  ClusterResponse newest;
+  for (std::uint64_t counter = 1; counter <= config.dedup_capacity; ++counter) {
+    newest = cluster.execute(envelope(++request_id, request_wire(kSid, counter, key)));
+    ASSERT_EQ(newest.status, AccessStatus::kGranted);
+  }
+  const std::uint64_t newest_id = request_id;
+  const std::uint64_t newest_counter = config.dedup_capacity;
+
+  // Draining the replica migrates the partition from the primary to the
+  // third node; draining the primary then promotes the third node without a
+  // copy, so it serves from the migrated records alone.
+  cluster.drain(before.replica);
+  cluster.drain(before.primary);
+  const NodeId target = cluster.owners_of(kSid).primary;
+  ASSERT_NE(target, before.primary);
+  ASSERT_NE(target, before.replica);
+
+  // One more executed request overflows the cache by one record.
+  ASSERT_EQ(cluster.execute(envelope(++request_id,
+                                     request_wire(kSid, newest_counter + 1, key)))
+                .status,
+            AccessStatus::kGranted);
+  const std::uint64_t hits_before = cluster.stats().dedup_hits;
+  const ClusterResponse retry =
+      cluster.execute(envelope(newest_id, request_wire(kSid, newest_counter, key)));
+  EXPECT_EQ(retry.status, AccessStatus::kGranted);
+  EXPECT_EQ(retry.grant_wire, newest.grant_wire);
+  EXPECT_EQ(cluster.stats().dedup_hits, hits_before + 1);
+}
+
 TEST(VaultClusterTest, ServingRacesTopologyChangesWithoutTornResults) {
   // Four threads hammer execute() while the main thread crashes a node,
   // fails over, then drains another: every response must carry a typed

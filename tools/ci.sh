@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # CI driver: builds and runs the tier-1 ctest suite in three configurations —
-# a plain RelWithDebInfo build (plus the bench_throughput JSON/tau,
-# bench_vault authorize-speedup/replay-ledger, and bench_grants
-# offline-window ledger gates), a
+# a plain RelWithDebInfo build (plus the bench JSON gates, one function each
+# in tools/gates.py), a
 # WAVEKEY_SANITIZE=ON (ASan + UBSan) build, and a WAVEKEY_TSAN=ON
 # (ThreadSanitizer) build scoped to the concurrency suites — so every merge
 # exercises correctness, memory/UB cleanliness, and data-race freedom. A
@@ -54,152 +53,43 @@ forced_scalar_gate() {
 }
 
 throughput_gate() {
-  # The bench itself exits non-zero on any failed session or tau violation;
-  # the python pass additionally rejects malformed JSON and re-checks the
-  # p99 critical-message latency against the tau budget point by point.
+  # bench_throughput exits non-zero on any failed session or tau violation;
+  # tools/gates.py re-checks the p99 critical latency against tau.
   echo "=== [plain] bench_throughput gate ==="
   WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_throughput \
     > build-ci/bench_throughput.json
-  python3 - build-ci/bench_throughput.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-tau = data["tau_budget_ms"]
-points = data["points"]
-assert points, "bench_throughput emitted no points"
-for p in points:
-    assert p["p99_critical_ms"] <= tau, (
-        f"p99 critical latency {p['p99_critical_ms']} ms exceeds the "
-        f"tau budget {tau} ms at {p['threads']} threads")
-assert data["tau_deadline_violations"] == 0, "tau deadline violations detected"
-print(f"bench_throughput ok: speedup_4t_over_1t={data['speedup_4t_over_1t']}, "
-      f"tau violations=0, {len(points)} points")
-PYEOF
+  python3 tools/gates.py throughput build-ci/bench_throughput.json
 }
 
 batch_gate() {
-  # Re-derives the batched-encoder claims (DESIGN.md §11) from the JSON that
-  # throughput_gate already emitted, independently of the bench's own exit
-  # code: the coalescing stage must reach >= 2x the unbatched arm's
-  # sessions/sec at 8 threads, the integrated engine+service run must succeed
-  # universally with zero tau violations despite the hold-time charge, and
-  # sessions must have genuinely coalesced (mean batch > 1), so the speedup
-  # cannot come from a silently-degenerate batch-of-1 configuration.
+  # Batched-encoder claims (DESIGN.md §11), re-derived from the JSON that
+  # throughput_gate emitted (see gate_batch in tools/gates.py).
   echo "=== [plain] batched-encoder gate ==="
-  python3 - build-ci/bench_throughput.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-stage = data["encoder_stage"]
-points = stage["points"]
-assert points, "encoder_stage emitted no points"
-by_threads = {p["threads"]: p for p in points}
-assert 8 in by_threads, "encoder_stage missing the 8-thread point"
-p8 = by_threads[8]
-speedup = p8["batched_sps"] / p8["unbatched_sps"]
-assert speedup >= 2.0, (
-    f"batched encoder stage speedup {speedup:.2f}x < 2.0x at 8 threads "
-    f"(batched {p8['batched_sps']:.0f}/s vs unbatched {p8['unbatched_sps']:.0f}/s)")
-assert p8["mean_batch"] > 1.5, (
-    f"mean coalesced batch {p8['mean_batch']:.2f} at 8 threads — batching degenerate")
-integ = data["batched_integration"]
-assert integ["successes"] == integ["sessions"], (
-    f"batched integration: {integ['sessions'] - integ['successes']} failed sessions")
-assert integ["tau_violations"] == 0, "batched integration: tau violations detected"
-assert integ["coalesced"] > 0, "batched integration: no session ever coalesced"
-assert integ["p99_critical_ms"] <= data["tau_budget_ms"], (
-    f"batched integration p99 critical {integ['p99_critical_ms']} ms exceeds tau")
-print(f"batch_gate ok: speedup_batched_8t={speedup:.2f}x, mean_batch={p8['mean_batch']:.2f}, "
-      f"integration {integ['successes']}/{integ['sessions']} ok, tau violations=0, "
-      f"max_hold={integ['max_hold_ms']:.3f} ms")
-PYEOF
+  python3 tools/gates.py batch build-ci/bench_throughput.json
 }
 
 server_gate() {
   # bench_server exits non-zero on any broken ledger, accepted replay, tau
-  # violation, missing shed, or sub-2.5x I/O overlap factor; the python pass
-  # re-checks the security-critical invariants from the JSON itself so a
-  # silently-wrong exit path cannot mask them, and additionally requires
-  # every rejection class to have actually fired (the bench injects each
-  # deterministically, so a zero means the check is dead code).
+  # violation, missing shed, or sub-2.5x I/O overlap factor; tools/gates.py
+  # re-checks those invariants from the JSON and requires every rejection
+  # class to have fired.
   echo "=== [plain] bench_server gate ==="
   WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_server \
     > build-ci/bench_server.json
-  python3 - build-ci/bench_server.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-points = data["points"]
-assert points, "bench_server emitted no points"
-for p in points:
-    assert p["ledger_ok"], f"outcome ledger mismatch at {p['threads']} threads"
-    assert p["accepted_replays"] == 0, f"replay accepted at {p['threads']} threads"
-    assert p["shed"] == 0 and p["malformed"] == 0, "unexpected shed/malformed in soak"
-    for key in ("replay_rejected", "expired", "revoked", "stale_epoch",
-                "bad_mac", "rate_limited"):
-        assert p[key] > 0, f"rejection class {key} never fired at {p['threads']} threads"
-assert data["accepted_replays"] == 0, "accepted replays detected"
-assert data["tau_deadline_violations"] == 0, "tau deadline violations detected"
-assert data["shed_burst"]["shed"] >= 1, "overload burst did not shed"
-# Coroutine serving overlaps I/O waits at EVERY thread count (they park in
-# the timer wheel, not on a worker thread), so grants/sec no longer scales
-# with threads: the old 4t/1t speedup gate is structurally obsolete. The
-# replacement gate is the per-point I/O overlap factor — granted * io_wait
-# / wall — which measures how many waits were genuinely in flight at once.
-overlaps = []
-for p in points:
-    assert "p999_verify_us" in p, f"p99.9 missing at {p['threads']} threads"
-    if data["io_wait_ms"] > 0:
-        assert p["io_overlap"] >= 2.5, (
-            f"I/O overlap factor {p['io_overlap']:.2f} < 2.5 at "
-            f"{p['threads']} threads — waits are serializing")
-        overlaps.append(p["io_overlap"])
-print(f"bench_server ok: io_overlap={[round(o, 1) for o in overlaps]}, "
-      f"accepted_replays=0, tau violations=0, {len(points)} points")
-PYEOF
+  python3 tools/gates.py server build-ci/bench_server.json
 }
 
 async_gate() {
-  # Re-derives the async serving-core claims (DESIGN.md §12) from the JSON
-  # that server_gate and cluster_gate already emitted, independently of the
-  # benches' own exit codes: the coroutine burst must genuinely hold >= 10k
-  # grants in flight (and suspended) on 4 threads with nothing shed and the
-  # exactly-once ledger intact, and the gateway's pooled wire path must have
-  # stopped allocating after warm-up (allocations bounded by the lane count
-  # while leases track every frame sent). Finally the latency percentiles of
-  # the fresh bench_server run are diffed against the committed
-  # BENCH_server.json via bench_compare --latency: tail amplification
-  # (p99/p99.9 over p50 within the same run) is machine-speed-independent,
-  # and the generous 9.0 threshold is a tripwire for order-of-magnitude
-  # regressions — a blocking wait reappearing on the verify path, not noise.
+  # Async serving-core claims (DESIGN.md §12), re-derived from the JSONs
+  # that server_gate and cluster_gate emitted (see gate_async in
+  # tools/gates.py). Then the fresh bench_server latency percentiles are
+  # diffed against the committed BENCH_server.json via bench_compare
+  # --latency: tail amplification (p99/p99.9 over p50 within the same run) is
+  # machine-speed-independent, and the generous 9.0 threshold is a tripwire
+  # for order-of-magnitude regressions — a blocking wait reappearing on the
+  # verify path, not noise.
   echo "=== [plain] async serving gate ==="
-  python3 - build-ci/bench_server.json build-ci/bench_cluster.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    server = json.load(f)
-with open(sys.argv[2]) as f:
-    cluster = json.load(f)
-burst = server["async_burst"]
-assert burst["threads"] == 4, f"async burst ran on {burst['threads']} threads, not 4"
-assert burst["peak_in_flight"] >= 10000, (
-    f"peak in-flight {burst['peak_in_flight']} < 10000 — coroutines are not overlapping")
-assert burst["peak_suspended"] >= 10000, (
-    f"peak suspended {burst['peak_suspended']} < 10000 — waits are not parking")
-assert burst["granted"] == burst["submitted"], (
-    f"async burst lost grants: {burst['granted']}/{burst['submitted']}")
-assert burst["shed"] == 0, f"async burst shed {burst['shed']} requests"
-assert burst["p999_verify_us"] > 0, "async burst p99.9 missing"
-pw = cluster["pooled_wire"]
-assert pw["steady_state_ok"], "pooled wire path allocated at steady state"
-assert pw["pool_allocations"] <= pw["lanes"], (
-    f"pool allocated {pw['pool_allocations']} buffers for {pw['lanes']} lanes")
-assert pw["pool_leases"] >= pw["frames_sent"], (
-    f"pool leases {pw['pool_leases']} < frames sent {pw['frames_sent']}")
-print(f"async_gate ok: peak_in_flight={burst['peak_in_flight']}, "
-      f"peak_suspended={burst['peak_suspended']}, wall={burst['wall_s']}s, "
-      f"p999_verify={burst['p999_verify_us']}us, "
-      f"pool {pw['pool_allocations']} allocations / {pw['pool_leases']} leases")
-PYEOF
+  python3 tools/gates.py async build-ci/bench_server.json build-ci/bench_cluster.json
   echo "=== [plain] latency percentile diff vs BENCH_server.json ==="
   tools/bench_compare.py --latency --threshold 9.0 \
     BENCH_server.json build-ci/bench_server.json
@@ -207,142 +97,31 @@ PYEOF
 
 vault_gate() {
   # bench_vault exits non-zero on any ledger mismatch, accepted replay,
-  # double grant, or purge shortfall; the python pass re-derives the
-  # acceptance claims from the JSON so a broken exit path cannot mask them:
-  # >= 2x 4-thread authorize throughput over the mutex+unordered_map
-  # baseline at the largest sessions point, zero accepted replays at every
-  # point, exact rejection ledgers, complete wheel purges, a bytes/session
-  # memory bound on the FlatMap store, and the lock-hold p99 proof that the
-  # optimistic path moved the HMAC out of the critical section.
+  # double grant, or purge shortfall; tools/gates.py re-derives the
+  # acceptance claims (speedup, ledgers, purges, bytes/session, lock hold).
   echo "=== [plain] bench_vault gate ==="
   WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_vault \
     > build-ci/bench_vault.json
-  python3 - build-ci/bench_vault.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-assert data["all_ok"], "bench_vault reported a failed invariant"
-points = data["points"]
-assert points, "bench_vault emitted no points"
-for p in points:
-    led = p["ledger"]
-    assert led["ledger_ok"], f"rejection ledger mismatch at {p['sessions']} sessions"
-    assert led["accepted_replays"] == 0, f"accepted replay at {p['sessions']} sessions"
-    assert led["authorize_failures"] == 0, f"authorize failures at {p['sessions']} sessions"
-    n = led["probes_per_class"]
-    for cls in ("replay_rejected", "bad_mac", "stale_epoch", "unknown", "expired"):
-        assert led[cls] == n, (
-            f"{cls}={led[cls]} != {n} probes at {p['sessions']} sessions")
-    purge = p["purge"]
-    assert purge["purged"] == purge["installed"], (
-        f"wheel purge reclaimed {purge['purged']}/{purge['installed']} "
-        f"at {p['sessions']} sessions")
-    assert p["flatmap_bytes_per_session"] <= 512.0, (
-        f"FlatMap store {p['flatmap_bytes_per_session']:.0f} B/session > 512 "
-        f"at {p['sessions']} sessions")
-largest = max(points, key=lambda p: p["sessions"])
-t4 = next(t for t in largest["threads"] if t["threads"] == 4)
-assert t4["speedup"] >= 2.0, (
-    f"4-thread authorize speedup {t4['speedup']:.2f}x < 2.0x at "
-    f"{largest['sessions']} sessions ({t4['flatmap_grants_per_sec']:.0f}/s vs "
-    f"baseline {t4['baseline_grants_per_sec']:.0f}/s)")
-lh = data["lock_hold"]
-assert lh["p99_ratio"] >= 1.5, (
-    f"lock-hold p99 ratio {lh['p99_ratio']:.2f} < 1.5 — the HMAC does not "
-    f"appear to have left the critical section "
-    f"(optimistic {lh['optimistic_p99_ns']:.0f} ns vs classic {lh['classic_p99_ns']:.0f} ns)")
-print(f"bench_vault ok: speedup_4t={t4['speedup']:.2f}x at {largest['sessions']} sessions, "
-      f"accepted_replays=0, lock_hold_p99 {lh['optimistic_p99_ns']:.0f}ns vs "
-      f"{lh['classic_p99_ns']:.0f}ns (ratio {lh['p99_ratio']:.2f}), "
-      f"{len(points)} points")
-PYEOF
+  python3 tools/gates.py vault build-ci/bench_vault.json
 }
 
 cluster_gate() {
   # bench_cluster drives gateway fleets against the partitioned vault
   # cluster through a lossy WAN model while injecting a crash (with
   # failover) and a graceful drain mid-traffic, and exits non-zero if any
-  # ledger gate fails. The python pass re-derives the security invariants
-  # from the emitted JSON — zero accepted replays, zero double-grants,
-  # zero unresolved in-flight requests, every rejection class actually
-  # fired, each chaos event ran — so a broken exit path cannot mask them.
+  # ledger gate fails; tools/gates.py re-derives the security invariants.
   echo "=== [plain] bench_cluster gate ==="
   ./build-ci/bench/bench_cluster > build-ci/bench_cluster.json
-  python3 - build-ci/bench_cluster.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-assert data["accepted_replays"] == 0, "cluster accepted a replay"
-assert data["double_grants"] == 0, "cluster double-granted a request"
-assert data["unresolved_in_flight"] == 0, "in-flight request never resolved"
-assert data["wellformed_success"] >= 0.95, (
-    f"well-formed success {data['wellformed_success']} < 0.95")
-for flag in ("probe_ledger_ok", "window_ledger_ok", "reopened_ledger_ok",
-             "blackhole_ledger_ok", "chaos_typed_ok", "grants_accounted",
-             "chaos_ran", "success_ok", "resolved_ok"):
-    assert data[flag], f"bench_cluster gate {flag} failed"
-phases = data["phases"]
-assert phases["probes"]["replay"] > 0, "replay probes never fired"
-assert phases["probes"]["bad_mac"] > 0, "bad-MAC probes never fired"
-assert phases["probes"]["malformed"] > 0, "malformed probes never fired"
-assert phases["crash_window"]["unavailable"] > 0, "crash window saw no kUnavailable"
-assert phases["post_failover_replay"]["replay"] > 0, "post-failover replays not rejected"
-assert phases["blackhole"]["retry_exhausted"] > 0, "blackhole saw no kRetryExhausted"
-cluster = data["cluster"]
-assert cluster["crashes"] == 1 and cluster["drains"] == 1 and cluster["failovers"] == 1, \
-    "chaos events did not all run"
-assert cluster["sessions_migrated"] > 0, "handoff migrated no sessions"
-print(f"bench_cluster ok: executed={cluster['executed']}, "
-      f"grants={cluster['vault_grants']}, dedup_hits={cluster['dedup_hits']}, "
-      f"migrated={cluster['sessions_migrated']}, accepted_replays=0, "
-      f"double_grants=0, success={data['wellformed_success']}")
-PYEOF
+  python3 tools/gates.py cluster build-ci/bench_cluster.json
 }
 
 grants_gate() {
   # bench_grants soaks the offline-grant subsystem through a full
   # reachable -> partitioned -> healed cycle and exits non-zero on any
-  # ledger miss; the python pass re-derives the closed-form ledger from the
-  # emitted JSON so a broken exit path cannot mask it: every pre-issued
-  # token accepted vault-free during the partition, each rejection class
-  # fired with its exact typed count, zero cluster executions while
-  # blackholed, zero accepted after revocation propagates on heal, and
-  # both audit chains verifying end-to-end with exactly one record per
-  # event (the tamper probe must have pinpointed its injected index).
+  # ledger miss; tools/gates.py re-derives the closed-form ledger.
   echo "=== [plain] bench_grants gate ==="
   ./build-ci/bench/bench_grants > build-ci/bench_grants.json
-  python3 - build-ci/bench_grants.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-for flag in ("reachable_ledger_ok", "crosslink_ok", "partitioned_ledger_ok",
-             "vault_free_ok", "sibling_scoping_ok", "revoked_ledger_ok",
-             "healed_ledger_ok", "verifier_chain_ok", "tamper_ok",
-             "issuer_chain_ok"):
-    assert data[flag], f"bench_grants gate {flag} failed"
-ph = data["phases"]
-reach, part, heal = ph["reachable"], ph["partitioned"], ph["healed"]
-for name, p in ph.items():
-    assert p["resolved"] == p["submitted"], f"{name}: unresolved submissions"
-assert reach["granted"] == reach["submitted"], "reachable phase lost grants"
-assert part["granted"] == data["offline_grants"] + data["handoff_grants"], \
-    "partitioned phase accepted the wrong number of offline grants"
-assert part["offline"] == part["resolved"] - part["retry_exhausted"], \
-    "some partitioned resolutions bypassed the offline verifier"
-for cls in ("replay", "rollback", "bad_mac", "expired", "wrong_scope",
-            "unknown", "malformed", "retry_exhausted"):
-    assert part[cls] > 0, f"rejection class {cls} never fired during the partition"
-assert heal["granted"] == heal["submitted"], "healed phase lost grants"
-audit = data["audit"]
-assert audit["pinpointed"] == audit["tampered_index"], \
-    "audit fsck did not pinpoint the tampered record"
-assert data["revoked_refused"] > 0, "revocation propagation never refused a token"
-print(f"bench_grants ok: offline_granted={part['granted']}, "
-      f"typed_rejections={part['resolved'] - part['granted']}, "
-      f"verifier_records={audit['verifier_records']}, "
-      f"issuer_records={audit['issuer_records']}, "
-      f"tamper pinpointed at {audit['pinpointed']}")
-PYEOF
+  python3 tools/gates.py grants build-ci/bench_grants.json
 }
 
 perf_gate() {
@@ -370,24 +149,8 @@ perf_gate() {
       --benchmark_enable_random_interleaving=true \
       --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_EncoderBatchedForward|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_BufferPoolLease|BM_FramePooled|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "build-ci-release/bench_micro.attempt${attempt}.json"
-    python3 - build-ci-release/bench_micro.json \
-      "build-ci-release/bench_micro.attempt${attempt}.json" <<'PYEOF'
-import json, os, sys
-dst, src = sys.argv[1], sys.argv[2]
-cur = json.load(open(src))
-if os.path.exists(dst):
-    best = {}
-    for doc in (json.load(open(dst)), cur):
-        for b in doc["benchmarks"]:
-            if b.get("run_type", "iteration") != "iteration":
-                continue
-            k = b["name"]
-            if k not in best or b["real_time"] < best[k]["real_time"]:
-                best[k] = b
-    cur = {"context": cur["context"],
-           "benchmarks": sorted(best.values(), key=lambda b: b["name"])}
-json.dump(cur, open(dst, "w"), indent=1)
-PYEOF
+    python3 tools/gates.py perf_merge build-ci-release/bench_micro.json \
+      "build-ci-release/bench_micro.attempt${attempt}.json"
     if tools/bench_compare.py BENCH_micro.json build-ci-release/bench_micro.json; then
       break
     elif [ "$attempt" = 3 ]; then

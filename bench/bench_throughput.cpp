@@ -54,7 +54,7 @@
 #include "core/seed_quantizer.hpp"
 #include "nn/tensor.hpp"
 #include "numeric/rng.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/cpu.hpp"
 
 using namespace wavekey;
 using namespace wavekey::core;
@@ -341,7 +341,7 @@ int main() {
   std::printf("{\n  \"bench\": \"throughput\",\n  \"sessions_per_point\": %d,\n"
               "  \"radio_wait_ms\": %.1f,\n  \"hardware_threads\": %zu,\n"
               "  \"tau_budget_ms\": %.1f,\n  \"points\": [\n",
-              sessions, radio_wait_s() * 1000.0, runtime::ThreadPool::hardware_threads(),
+              sessions, radio_wait_s() * 1000.0, runtime::cpu::hardware_threads(),
               wk.tau_s * 1000.0);
 
   std::vector<Point> points;

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "nn/layer.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/compute_pool.hpp"
 
 namespace wavekey::core {
 namespace {

@@ -41,11 +41,6 @@ struct AttemptTrace {
   protocol::FailureReason failure = protocol::FailureReason::kNone;
   double elapsed_s = 0.0;     ///< session clock at exit of this attempt
   protocol::ArqStats arq;     ///< retransmission counters of this attempt
-  /// Time this attempt's encode spent parked in the cross-session batching
-  /// stage (0 on the serial path); charged into elapsed_s via the virtual
-  /// session clock, surfaced here so tau pressure from coalescing is
-  /// auditable per attempt (DESIGN.md §11.2).
-  double encode_hold_s = 0.0;
 };
 
 /// Policy of the multi-attempt orchestrator.
@@ -86,14 +81,6 @@ class WaveKeySystem {
   const SeedQuantizer& quantizer() const { return quantizer_; }
   void set_quantizer(SeedQuantizer q) { quantizer_ = std::move(q); }
 
-  /// Installs (or clears, with nullptr) a cross-session batched encoder
-  /// stage for establish_key / establish_key_robust. Non-owning: the
-  /// service must outlive the system — and note the service borrows this
-  /// system's EncoderPair, so wire it to encoders(). Off by default; the
-  /// serial determinism contract is untouched unless a service is set.
-  void set_encoder_service(BatchedEncoderService* service) { encoder_service_ = service; }
-  BatchedEncoderService* encoder_service() const { return encoder_service_; }
-
   /// Calibrates the quantizer bins (empirical quantiles) and eta on a
   /// dataset (SVI-C2); stores both in the system.
   EtaCalibration calibrate(const WaveKeyDataset& dataset);
@@ -121,7 +108,6 @@ class WaveKeySystem {
   EncoderPair encoders_;
   WaveKeyConfig config_;
   SeedQuantizer quantizer_;
-  BatchedEncoderService* encoder_service_ = nullptr;  ///< non-owning, optional
 };
 
 }  // namespace wavekey::core

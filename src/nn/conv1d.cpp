@@ -8,7 +8,7 @@
 
 #include "nn/conv_lowering.hpp"
 #include "nn/gemm.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/compute_pool.hpp"
 
 namespace wavekey::nn {
 namespace {

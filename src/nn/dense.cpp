@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/compute_pool.hpp"
 
 namespace wavekey::nn {
 

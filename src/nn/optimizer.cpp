@@ -4,31 +4,8 @@
 
 namespace wavekey::nn {
 
-void Optimizer::zero_grad() {
-  for (Param& p : params_) p.grad->fill(0.0f);
-}
-
-Sgd::Sgd(std::vector<Param> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const Param& p : params_) velocity_.emplace_back(p.value->shape());
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& v = velocity_[i];
-    Tensor& w = *params_[i].value;
-    Tensor& g = *params_[i].grad;
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      v[j] = momentum_ * v[j] - lr_ * g[j];
-      w[j] += v[j];
-    }
-  }
-  zero_grad();
-}
-
 Adam::Adam(std::vector<Param> params, float lr, float beta1, float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param& p : params_) {
@@ -53,8 +30,8 @@ void Adam::step() {
       const float vhat = v[j] / bc2;
       w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
+    g.fill(0.0f);  // gradients are consumed by the step
   }
-  zero_grad();
 }
 
 }  // namespace wavekey::nn

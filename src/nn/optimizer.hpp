@@ -1,10 +1,10 @@
 #pragma once
 
-// First-order optimizers for the joint encoder/decoder training loop.
+// Adam optimizer for the joint encoder/decoder training loop.
 //
-// Thread-safety: externally synchronized. An optimizer owns per-parameter
-// state (momentum / Adam moments) keyed to its parameter list; step() must
-// not run concurrently with itself or with backward() on the same model.
+// Thread-safety: externally synchronized. The optimizer owns per-parameter
+// Adam moments keyed to its parameter list; step() must not run
+// concurrently with itself or with backward() on the same model.
 
 #include <vector>
 
@@ -12,42 +12,17 @@
 
 namespace wavekey::nn {
 
-/// Optimizer interface over a fixed parameter list.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Param> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the accumulated gradients, then clears them.
-  virtual void step() = 0;
-
-  /// Clears gradients without updating (e.g. after a diagnostics pass).
-  void zero_grad();
-
- protected:
-  std::vector<Param> params_;
-};
-
-/// SGD with classical momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param> params, float lr, float momentum = 0.9f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction, over a fixed parameter list.
+class Adam {
  public:
   Adam(std::vector<Param> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
        float eps = 1e-8f);
-  void step() override;
+
+  /// Applies one update from the accumulated gradients, then clears them.
+  void step();
 
  private:
+  std::vector<Param> params_;
   float lr_, beta1_, beta2_, eps_;
   std::vector<Tensor> m_, v_;
   long t_ = 0;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <thread>
 
 namespace wavekey::runtime::cpu {
 namespace {
@@ -110,6 +111,11 @@ bool sha_ni_active() { return detected_sha_ni() && ceiling() != SimdTier::kScala
 void force_tier_for_testing(std::optional<SimdTier> tier) {
   g_ceiling.store(tier.has_value() ? static_cast<int>(*tier) : kUnset,
                   std::memory_order_relaxed);
+}
+
+std::size_t hardware_threads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
 }
 
 }  // namespace wavekey::runtime::cpu

@@ -18,6 +18,7 @@
 // (atomic cache, idempotent initialization). force_tier_for_testing() is a
 // test/bench-only hook and must not race with kernels in flight.
 
+#include <cstddef>
 #include <optional>
 
 namespace wavekey::runtime::cpu {
@@ -59,5 +60,8 @@ bool detected_sha_ni();
 /// together with every other vectorized path, while a host with SHA-NI but
 /// without AVX2 still hashes with SHA-NI.
 bool sha_ni_active();
+
+/// Best-effort hardware concurrency (>= 1).
+std::size_t hardware_threads();
 
 }  // namespace wavekey::runtime::cpu

@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::uint64_t kTickNs = 100'000;  // 100 us
 
+// The loop whose worker the current thread is, if any.
+thread_local const EventLoop* t_worker_of = nullptr;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -184,7 +187,10 @@ EventLoop::Clock::time_point EventLoop::time_of(std::uint64_t tick) const {
   return epoch_ + std::chrono::nanoseconds(tick * kTickNs);
 }
 
+bool EventLoop::on_worker_thread() const { return t_worker_of == this; }
+
 void EventLoop::worker_main() {
+  t_worker_of = this;
   for (;;) {
     std::coroutine_handle<> h;
     {

@@ -1,6 +1,9 @@
 #pragma once
 
-// N-thread coroutine executor with a hierarchical timer wheel.
+// N-thread coroutine executor with a hierarchical timer wheel — the one
+// executor type of the tree. Serving instances (AccessServer, ReaderGateway,
+// PairingEngine) run request coroutines on it; the nn compute pool
+// (compute_pool.hpp) is an instance used for fork-join batch parallelism.
 //
 // The serving core (AccessServer, ReaderGateway) used to burn one OS thread
 // per in-flight request: workers parked in std::this_thread::sleep_for on
@@ -101,6 +104,10 @@ class EventLoop {
 
   EventLoopStats stats() const;
   std::size_t threads() const { return workers_.size(); }
+
+  /// True iff the calling thread is one of this loop's workers (a worker
+  /// that blocks on work queued behind itself would deadlock).
+  bool on_worker_thread() const;
 
   /// Enqueues a suspended handle for resumption on a worker thread.
   /// (Public for awaiter implementations; not a user entry point.)

@@ -20,17 +20,20 @@
 //
 // Advances:
 //  - an entry armed at or before the current tick fires on the next advance;
-//  - an empty wheel jumps straight to the target;
 //  - a jump of the whole span (64^4 ticks) or more re-files every entry by
 //    its delta from the target, firing exactly the due ones, in O(entries +
 //    slots) instead of 64^4 tick steps; it never fires an entry early;
-//  - anything shorter steps tick by tick (an empty tick is one index
-//    increment and one empty-vector check).
+//  - anything shorter skips every tick at which a step would do nothing:
+//    one occupancy bit per slot finds the next tick that either fires an
+//    occupied L0 slot or cascades an occupied slot at a level boundary, and
+//    the wheel jumps straight there (an empty wheel jumps to the target). An
+//    advance costs O(slots touched + entries moved), not O(ticks elapsed).
 //
 // Not thread-safe; each owner guards its wheel with its own mutex.
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -69,13 +72,11 @@ class TimerWheel {
       }
       return;
     }
-    while (current_tick_ < target) {
-      if (size_ == 0) {
-        current_tick_ = target;
-        return;
-      }
+    for (std::uint64_t next = next_event_tick(); next <= target; next = next_event_tick()) {
+      current_tick_ = next - 1;  // every tick before `next` is a no-op step
       step(fired);
     }
+    current_tick_ = target;
   }
 
   /// The next tick worth waking for: the first non-empty L0 slot before the
@@ -83,11 +84,7 @@ class TimerWheel {
   /// pending deadline, and never more than one L0 wrap (64 ticks) ahead, so
   /// an entry parked in a higher level is never slept past.
   std::uint64_t next_wake_tick() const {
-    const std::uint64_t boundary = (current_tick_ | (kSlots - 1)) + 1;
-    for (std::uint64_t k = current_tick_ + 1; k < boundary; ++k) {
-      if (!slots_[0][k & (kSlots - 1)].empty()) return k;
-    }
-    return boundary;
+    return std::min(next_event_tick(), (current_tick_ | (kSlots - 1)) + 1);
   }
 
   std::size_t size() const { return size_; }  ///< entries armed, not yet fired
@@ -114,7 +111,28 @@ class TimerWheel {
         break;
       }
     }
-    slots_[level][(e.deadline_tick >> (kLevelBits * level)) & (kSlots - 1)].push_back(e);
+    const std::uint64_t idx = (e.deadline_tick >> (kLevelBits * level)) & (kSlots - 1);
+    slots_[level][idx].push_back(e);
+    occupied_[level] |= 1ull << idx;
+  }
+
+  /// The first tick after the current one at which step() has work: an
+  /// occupied L0 slot comes due, or a level-l boundary (a multiple of 64^l)
+  /// cascades an occupied slot. At level l the boundaries ahead are
+  /// ((current >> 6l) + 1 + k) << 6l for k = 0..63, cascading slot
+  /// (current >> 6l) + 1 + k mod 64; rotating the occupancy mask puts slot k
+  /// at bit k. UINT64_MAX when the wheel is empty.
+  std::uint64_t next_event_tick() const {
+    std::uint64_t next = ~std::uint64_t{0};
+    for (int l = 0; l < kLevels; ++l) {
+      if (occupied_[l] == 0) continue;
+      const int shift = kLevelBits * l;
+      const std::uint64_t first = (current_tick_ >> shift) + 1;
+      const auto k = std::countr_zero(
+          std::rotr(occupied_[l], static_cast<int>(first & (kSlots - 1))));
+      next = std::min(next, (first + static_cast<std::uint64_t>(k)) << shift);
+    }
+    return next;
   }
 
   /// Re-files every entry of one slot by its delta from the current tick,
@@ -122,6 +140,7 @@ class TimerWheel {
   void cascade(int level, std::uint64_t idx, std::vector<Payload>& fired) {
     std::vector<Entry> moved = std::move(slots_[level][idx]);
     slots_[level][idx].clear();
+    occupied_[level] &= ~(1ull << idx);  // before re-filing: an entry may land here again
     for (const Entry& e : moved) {
       if (e.deadline_tick <= current_tick_) {
         fired.push_back(e.payload);
@@ -147,10 +166,12 @@ class TimerWheel {
     for (const Entry& e : due) fired.push_back(e.payload);
     size_ -= due.size();
     due.clear();
+    occupied_[0] &= ~(1ull << (t & (kSlots - 1)));
   }
 
   std::uint64_t current_tick_ = 0;  ///< last tick fully processed
   std::size_t size_ = 0;
+  std::array<std::uint64_t, kLevels> occupied_{};  ///< bit s of level l: slots_[l][s] non-empty
   std::array<std::array<std::vector<Entry>, kSlots>, kLevels> slots_;
 };
 

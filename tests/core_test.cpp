@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <sstream>
@@ -240,6 +241,81 @@ TEST(SeedQuantizerTest, QuantizeValidatesLength) {
   WaveKeyConfig cfg;
   const SeedQuantizer q = SeedQuantizer::from_normal(cfg);
   EXPECT_THROW(q.quantize(std::vector<double>(5, 0.0)), std::invalid_argument);
+}
+
+// --- The paper's standard-normal layout (Eq. (1)) via from_normal ---
+
+WaveKeyConfig bins_config(std::size_t bins) {
+  WaveKeyConfig cfg;
+  cfg.quant_bins = bins;
+  return cfg;
+}
+
+TEST(QuantizerTest, RejectsDegenerateBins) {
+  EXPECT_THROW(SeedQuantizer::from_normal(bins_config(1)), std::invalid_argument);
+}
+
+TEST(QuantizerTest, BoundariesSolveEquationOne) {
+  // Phi(b_i) = i / N_b (Eq. (1) of the paper): bin i starts exactly at
+  // b_i = Phi^-1(i / 9), in every dimension.
+  const SeedQuantizer q = SeedQuantizer::from_normal(bins_config(9));
+  for (std::size_t d = 0; d < q.latent_dim(); ++d) {
+    for (std::size_t i = 1; i < 9; ++i) {
+      const double b = normal_quantile(static_cast<double>(i) / 9.0);
+      EXPECT_NEAR(normal_cdf(b), i / 9.0, 1e-9);
+      EXPECT_EQ(q.bin_of(d, b - 1e-9), i - 1) << "dim " << d << " boundary " << i;
+      EXPECT_EQ(q.bin_of(d, b + 1e-9), i) << "dim " << d << " boundary " << i;
+    }
+  }
+}
+
+TEST(QuantizerTest, BinOfIsMonotoneAndCoversRange) {
+  const SeedQuantizer q = SeedQuantizer::from_normal(bins_config(9));
+  EXPECT_EQ(q.bin_of(0, -10.0), 0u);
+  EXPECT_EQ(q.bin_of(0, 10.0), 8u);
+  std::size_t prev = 0;
+  for (double x = -4.0; x <= 4.0; x += 0.01) {
+    const std::size_t b = q.bin_of(0, x);
+    EXPECT_GE(b, prev);
+    prev = b;
+  }
+}
+
+class QuantizerBinCountTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(QuantizerBinCountTest, EqualProbabilityBinsAreEquallyLikely) {
+  const std::size_t nb = GetParam();
+  const SeedQuantizer q = SeedQuantizer::from_normal(bins_config(nb));
+  Rng rng(31 + nb);
+  std::vector<std::size_t> counts(nb, 0);
+  const int n = 90000;
+  for (int i = 0; i < n; ++i) counts[q.bin_of(0, rng.normal())]++;
+  const double expected = static_cast<double>(n) / static_cast<double>(nb);
+  for (std::size_t b = 0; b < nb; ++b)
+    EXPECT_NEAR(counts[b], expected, 6.0 * std::sqrt(expected)) << "bin " << b;
+}
+
+TEST_P(QuantizerBinCountTest, SeedLengthMatchesBitsPerElement) {
+  const std::size_t nb = GetParam();
+  const SeedQuantizer q = SeedQuantizer::from_normal(bins_config(nb));
+  EXPECT_EQ(q.bits_per_element(), static_cast<std::size_t>(std::bit_width(nb - 1)));
+  const std::vector<double> feature(q.latent_dim(), 0.1);
+  EXPECT_EQ(q.quantize(feature).size(), q.latent_dim() * q.bits_per_element());
+}
+
+INSTANTIATE_TEST_SUITE_P(BinSweep, QuantizerBinCountTest,
+                         ::testing::Values(2, 4, 5, 8, 9, 12, 15, 16));
+
+TEST(QuantizerTest, NearbyValuesDifferInAtMostOneBitAcrossOneBoundary) {
+  const SeedQuantizer q = SeedQuantizer::from_normal(bins_config(9));
+  // Move one element from just below to just above every boundary.
+  for (std::size_t i = 1; i < 9; ++i) {
+    const double b = normal_quantile(static_cast<double>(i) / 9.0);
+    std::vector<double> lo(q.latent_dim(), 0.0), hi(q.latent_dim(), 0.0);
+    lo[3] = b - 1e-9;
+    hi[3] = b + 1e-9;
+    EXPECT_EQ(q.quantize(lo).hamming_distance(q.quantize(hi)), 1u) << "boundary " << i;
+  }
 }
 
 TEST(KeySeedTest, CalibrationSetsEtaAtP99) {

@@ -1,5 +1,5 @@
 // Tests for the DSP substrate: Savitzky-Golay filtering, phase unwrapping,
-// resampling, gesture-start detection, quantization, and Gray coding.
+// resampling, gesture-start detection, and Gray coding.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "dsp/gesture_detect.hpp"
 #include "dsp/gray_code.hpp"
 #include "dsp/phase_unwrap.hpp"
-#include "dsp/quantizer.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/savitzky_golay.hpp"
 #include "numeric/rng.hpp"
@@ -271,74 +270,6 @@ TEST(GrayCodeTest, BitsRepresentation) {
   const BitVec b = gray_bits(2, 3);  // gray(2) = 3 = 0b011
   EXPECT_EQ(b.to_string(), "110");   // LSB first
   EXPECT_THROW(gray_bits(200, 3), std::invalid_argument);
-}
-
-TEST(QuantizerTest, RejectsDegenerateBins) {
-  EXPECT_THROW(NormalQuantizer(1), std::invalid_argument);
-}
-
-TEST(QuantizerTest, BoundariesSolveEquationOne) {
-  // Phi(b_i) = i / N_b (Eq. (1) of the paper).
-  const NormalQuantizer q(9);
-  const auto bounds = q.boundaries();
-  ASSERT_EQ(bounds.size(), 8u);
-  for (std::size_t i = 0; i < bounds.size(); ++i)
-    EXPECT_NEAR(normal_cdf(bounds[i]), (i + 1) / 9.0, 1e-9);
-}
-
-TEST(QuantizerTest, BinOfIsMonotoneAndCoversRange) {
-  const NormalQuantizer q(9);
-  EXPECT_EQ(q.bin_of(-10.0), 0u);
-  EXPECT_EQ(q.bin_of(10.0), 8u);
-  std::size_t prev = 0;
-  for (double x = -4.0; x <= 4.0; x += 0.01) {
-    const std::size_t b = q.bin_of(x);
-    EXPECT_GE(b, prev);
-    prev = b;
-  }
-}
-
-class QuantizerBinCountTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(QuantizerBinCountTest, EqualProbabilityBinsAreEquallyLikely) {
-  const std::size_t nb = GetParam();
-  const NormalQuantizer q(nb);
-  Rng rng(31 + nb);
-  std::vector<std::size_t> counts(nb, 0);
-  const int n = 90000;
-  for (int i = 0; i < n; ++i) counts[q.bin_of(rng.normal())]++;
-  const double expected = static_cast<double>(n) / static_cast<double>(nb);
-  for (std::size_t b = 0; b < nb; ++b)
-    EXPECT_NEAR(counts[b], expected, 6.0 * std::sqrt(expected)) << "bin " << b;
-}
-
-TEST_P(QuantizerBinCountTest, SeedLengthMatchesBitsPerElement) {
-  const std::size_t nb = GetParam();
-  const NormalQuantizer q(nb);
-  const std::vector<double> feature(12, 0.1);
-  EXPECT_EQ(q.quantize(feature).size(), 12 * q.bits_per_element());
-}
-
-INSTANTIATE_TEST_SUITE_P(BinSweep, QuantizerBinCountTest,
-                         ::testing::Values(2, 4, 5, 8, 9, 12, 15, 16));
-
-TEST(QuantizerTest, NearbyValuesDifferInAtMostOneBitAcrossOneBoundary) {
-  const NormalQuantizer q(9);
-  // Pick values just either side of every boundary.
-  for (double b : q.boundaries()) {
-    const BitVec lo = q.quantize_value(b - 1e-9);
-    const BitVec hi = q.quantize_value(b + 1e-9);
-    EXPECT_EQ(lo.hamming_distance(hi), 1u);
-  }
-}
-
-TEST(QuantizerTest, EqualWidthAblationProducesSkewedOccupancy) {
-  const NormalQuantizer q(9, BinPlacement::kEqualWidth);
-  Rng rng(37);
-  std::vector<std::size_t> counts(9, 0);
-  for (int i = 0; i < 50000; ++i) counts[q.bin_of(rng.normal())]++;
-  // The central bin must be far more occupied than the outermost bins.
-  EXPECT_GT(counts[4], 5 * std::max<std::size_t>(counts[0], 1));
 }
 
 }  // namespace

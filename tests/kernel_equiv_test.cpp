@@ -16,7 +16,7 @@
 #include "nn/reference_kernels.hpp"
 #include "nn/tensor.hpp"
 #include "numeric/rng.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/compute_pool.hpp"
 
 namespace wavekey::nn {
 namespace {

@@ -350,17 +350,6 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(w[i], target[i], 1e-2);
 }
 
-TEST(OptimizerTest, SgdMinimizesQuadratic) {
-  Tensor w({3}), g({3});
-  w.fill(5.0f);
-  Sgd opt({{&w, &g}}, 0.05f, 0.5f);
-  for (int it = 0; it < 500; ++it) {
-    for (int i = 0; i < 3; ++i) g[i] = w[i];
-    opt.step();
-  }
-  for (int i = 0; i < 3; ++i) EXPECT_NEAR(w[i], 0.0f, 1e-3);
-}
-
 TEST(SequentialTest, TrainsSmallRegression) {
   // Fit y = x1 - 2*x2 with a two-layer net; loss must fall dramatically.
   Rng rng(15);

@@ -15,7 +15,7 @@
 #include "crypto/drbg.hpp"
 #include "numeric/rng.hpp"
 #include "protocol/session.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/compute_pool.hpp"
 
 using namespace wavekey;
 using namespace wavekey::core;

@@ -701,6 +701,31 @@ TEST(KeyVaultTest, WheelPurgeReclaimsUntouchedExpiredSessions) {
   EXPECT_EQ(vault.purge_expired(11.0), 0u);
 }
 
+TEST(KeyVaultTest, PurgeAfterFortyHourIdleGapReclaimsExactlyTheExpired) {
+  // 40 h is 14.4M wheel ticks, just short of the 64^4-tick span jump, so the
+  // sweep takes the idle-gap skip path.
+  constexpr double kNow = 40.0 * 3600.0;
+  VaultConfig vc;
+  vc.shards = 8;
+  vc.capacity = 256;
+  vc.ttl_s = 3600.0;
+  KeyVault vault(vc);
+  crypto::Drbg rng(47);
+  for (std::uint64_t id = 0; id < 32; ++id)  // expired 39 h before the sweep
+    ASSERT_TRUE(vault.install(id, random_key(rng), 0.0));
+  for (std::uint64_t id = 32; id < 48; ++id)  // expire exactly at the sweep
+    ASSERT_TRUE(vault.install(id, random_key(rng), kNow - vc.ttl_s));
+  for (std::uint64_t id = 48; id < 64; ++id)  // expire one second after it
+    ASSERT_TRUE(vault.install(id, random_key(rng), kNow + 1.0 - vc.ttl_s));
+
+  EXPECT_EQ(vault.purge_expired(kNow), 48u);
+  EXPECT_EQ(vault.stats().resident_entries, 16u);
+  for (std::uint64_t id = 0; id < 64; ++id)
+    EXPECT_EQ(vault.current_key(id, kNow).has_value(), id >= 48) << "session " << id;
+  EXPECT_EQ(vault.purge_expired(kNow + 1.0), 16u);
+  EXPECT_EQ(vault.stats().resident_entries, 0u);
+}
+
 TEST(KeyVaultTest, RotateReArmsTheWheelSoPurgeHonorsTheNewDeadline) {
   VaultConfig vc;
   vc.shards = 1;

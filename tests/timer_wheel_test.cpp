@@ -1,12 +1,14 @@
 // Tests for runtime::TimerWheel, the hierarchical timing wheel behind both
 // EventLoop::sleep_for and the KeyVault TTL purge: a differential run against
-// a sorted-multimap reference over seeded random arm/advance sequences, plus
+// a sorted-multimap reference over seeded random arm/advance sequences (gaps
+// from one tick through sparse 64^2..64^4-tick skips to span jumps), plus
 // targeted checks of the cascade boundaries, arms at or before the current
-// tick, span-sized jumps and the wake-tick bound.
+// tick, span-sized jumps, idle-gap skipping and the wake-tick bound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -75,11 +77,12 @@ void run_differential(std::uint64_t seed) {
     const std::uint64_t now = ref.current_tick;
     if (rng() % 3 != 0) {  // arm
       std::uint64_t deadline = 0;
-      switch (rng() % 5) {
+      switch (rng() % 6) {
         case 0: deadline = now + 1 + rng() % 64; break;         // L0
         case 1: deadline = now + 1 + rng() % 300000; break;     // L1..L3
         case 2: deadline = near_boundary(rng, now); break;      // cascade edges
         case 3: deadline = now - std::min(now, rng() % 100); break;  // at/before now
+        case 4: deadline = now + 4096 + rng() % kSpan; break;   // sparse, L2..L3
         default: deadline = now + kSpan + rng() % (3 * kSpan); break;  // past the span
       }
       const std::uint64_t id = next_id++;
@@ -87,16 +90,15 @@ void run_differential(std::uint64_t seed) {
       ref.arm(id, deadline);
     } else {  // advance
       std::uint64_t target = now;
-      switch (rng() % 6) {
+      switch (rng() % 7) {
         case 0: target = now + 1; break;
         case 1: target = now + rng() % 200; break;
         case 2: target = near_boundary(rng, now); break;
         case 3: target = now + rng() % 400000; break;
         case 4: target = now + kSpan + rng() % kSpan; break;  // span jump
+        case 5: target = now + 4096 + rng() % (kSpan - 4096); break;  // sparse gap
         default: target = now - std::min(now, rng() % 10); break;  // no-op
       }
-      // Stepping just short of a span jump is the slowest path; keep it rare.
-      if (target > now && target - now > 400000 && target - now < kSpan) target = now + 400000;
       ASSERT_EQ(advance(wheel, target), ref.advance_to(target))
           << "seed " << seed << " op " << op << " advance " << now << " -> " << target;
     }
@@ -181,6 +183,29 @@ TEST(TimerWheel, EmptyWheelJumpsStraightToTarget) {
   EXPECT_EQ(advance(wheel, 1ull << 40), std::vector<std::uint64_t>{8});
   wheel.arm(9, 0);
   EXPECT_EQ(wheel.next_wake_tick(), (1ull << 40) + 1);
+}
+
+TEST(TimerWheel, IdleGapsCostEntriesNotTicks) {
+  // 64 entries spread over 100 gaps of 64^4 - 1 ticks (just short of the
+  // span jump): walking every tick would take ~1.7e9 steps, seconds of CPU;
+  // skipping to the next occupied slot takes microseconds.
+  constexpr std::uint64_t kGap = kSpan - 1;
+  Wheel wheel;
+  std::vector<std::uint64_t> deadlines;
+  for (std::uint64_t i = 0; i < 64; ++i) deadlines.push_back(1 + i * (100 * kGap / 64) + i);
+  for (std::uint64_t d : deadlines) wheel.arm(d, d);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t next = 0;
+  for (std::uint64_t g = 1; g <= 100; ++g) {
+    std::vector<std::uint64_t> expect;
+    while (next < deadlines.size() && deadlines[next] <= g * kGap) expect.push_back(deadlines[next++]);
+    ASSERT_EQ(advance(wheel, g * kGap), expect) << "gap " << g;
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(wheel.size(), 0u);
+  EXPECT_LT(elapsed, 1.0) << "idle ticks are being stepped one by one";
 }
 
 TEST(TimerWheel, ClearDropsEntriesAndRewinds) {

@@ -194,21 +194,29 @@ esac
 case "$MODE" in
   --plain-only|--sanitize-only|--perf-only) ;;
   *)
-    # TSan is scoped to the concurrency suites (thread pool + pairing
-    # engine + event loop + access server + vault cluster/gateway) plus the
-    # kernel-equivalence suite, which
-    # drives the GEMM kernels through the compute pool: that is where the
-    # shared mutable state lives, and the 5-15x TSan slowdown makes the
-    # full training suite impractical in CI.
+    # TSan is scoped to the concurrency suites (compute-pool fork-join +
+    # pairing engine + event loop + access server + vault cluster/gateway)
+    # plus the kernel-equivalence and training-determinism suites, which
+    # drive the GEMM kernels and training through the compute pool: that is
+    # where the shared mutable state lives, and the 5-15x TSan slowdown makes
+    # the full training suite impractical in CI.
     echo "=== [tsan] configure ==="
     cmake -B build-ci-tsan -S . -DWAVEKEY_TSAN=ON
     echo "=== [tsan] build ==="
     cmake --build build-ci-tsan -j "$JOBS" \
-      --target thread_pool_test pairing_engine_test kernel_equiv_test server_test cluster_test \
+      --target compute_pool_test pairing_engine_test kernel_equiv_test server_test cluster_test \
                grants_test micro_batcher_test event_loop_test flat_map_test
+    TSAN_SUITES='ComputePool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+    # Every alternative must select at least one built test, so a renamed
+    # suite or a missing --target can never silently drop out of TSan.
+    for suite in ${TSAN_SUITES//|/ }; do
+      if ! ctest --test-dir build-ci-tsan -N -R "$suite" | grep -q '^Total Tests: [1-9]'; then
+        echo "tsan: -R alternative '$suite' matches no test" >&2
+        exit 1
+      fi
+    done
     echo "=== [tsan] ctest (concurrency suites) ==="
-    ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'ThreadPool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+    ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" -R "$TSAN_SUITES"
     ;;
 esac
 

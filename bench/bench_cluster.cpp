@@ -1,4 +1,4 @@
-// Distributed-backend chaos soak (DESIGN.md §10): reader gateways driving a
+// Distributed-backend chaos soak (DESIGN.md §9): reader gateways driving a
 // partitioned VaultCluster over a lossy WAN while the harness injects a hard
 // node crash (memory lost, failover delayed) and a graceful drain
 // mid-traffic. The point of the bench is not throughput — it is that the
@@ -29,18 +29,19 @@
 // WAVEKEY_CLUSTER_LOSS overrides the chaos loss rate (default 0.06).
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "crypto/drbg.hpp"
 #include "server/cluster.hpp"
 #include "server/gateway.hpp"
 
 using namespace wavekey;
 using namespace wavekey::server;
+using wavekey::bench::Json;
 
 namespace {
 
@@ -172,7 +173,6 @@ GatewayConfig clean_gateway_config(std::uint32_t id, std::uint32_t attempts) {
   return cfg;
 }
 
-const char* ok(bool b) { return b ? "true" : "false"; }
 
 }  // namespace
 
@@ -197,7 +197,7 @@ int main() {
   for (std::uint64_t sid = 0; sid < sessions; ++sid) {
     rng.random_bytes(keys[sid]);
     if (!cluster.install(sid, keys[sid])) {
-      std::printf("{\"bench\": \"cluster\", \"error\": \"install failed\"}\n");
+      Json::object().add("bench", "cluster").add("error", "install failed").print();
       return 1;
     }
   }
@@ -429,45 +429,17 @@ int main() {
   const bool chaos_ran = cs.crashes == 1 && cs.drains == 1 && cs.failovers == 1 &&
                          window_items.size() > 0 && reopened_items.size() > 0;
 
-  std::printf("{\n  \"bench\": \"cluster\",\n");
-  std::printf("  \"sessions\": %llu,\n  \"nodes\": %u,\n  \"partitions\": %u,\n",
-              static_cast<unsigned long long>(sessions), cluster.nodes(), cluster.partitions());
-  std::printf("  \"wan_loss\": %.3f,\n", loss);
-  std::printf("  \"phases\": {\n");
-  const auto phase_json = [](const char* name, Tally& t, bool last = false) {
-    std::printf("    \"%s\": {\"submitted\": %llu, \"resolved\": %llu, \"granted\": %llu, "
-                "\"replay\": %llu, \"bad_mac\": %llu, \"malformed\": %llu, "
-                "\"unavailable\": %llu, \"retry_exhausted\": %llu}%s\n",
-                name, static_cast<unsigned long long>(t.submitted),
-                static_cast<unsigned long long>(t.resolved),
-                static_cast<unsigned long long>(t.count(AccessStatus::kGranted)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kReplay)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kBadMac)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kMalformed)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kUnavailable)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kRetryExhausted)),
-                last ? "" : ",");
+  const auto phase_json = [](Tally& t) {
+    return Json::object()
+        .add("submitted", t.submitted)
+        .add("resolved", t.resolved)
+        .add("granted", t.count(AccessStatus::kGranted))
+        .add("replay", t.count(AccessStatus::kReplay))
+        .add("bad_mac", t.count(AccessStatus::kBadMac))
+        .add("malformed", t.count(AccessStatus::kMalformed))
+        .add("unavailable", t.count(AccessStatus::kUnavailable))
+        .add("retry_exhausted", t.count(AccessStatus::kRetryExhausted));
   };
-  phase_json("healthy", healthy);
-  phase_json("probes", probes);
-  phase_json("crash", crash_phase);
-  phase_json("crash_window", window);
-  phase_json("post_failover_replay", reopened);
-  phase_json("drain", drain_phase);
-  phase_json("blackhole", blackhole, true);
-  std::printf("  },\n");
-  std::printf("  \"cluster\": {\"executed\": %llu, \"vault_grants\": %llu, \"dedup_hits\": %llu, "
-              "\"unavailable\": %llu, \"crashes\": %llu, \"drains\": %llu, \"failovers\": %llu, "
-              "\"partitions_moved\": %llu, \"sessions_migrated\": %llu},\n",
-              static_cast<unsigned long long>(cs.executed),
-              static_cast<unsigned long long>(cs.vault_grants),
-              static_cast<unsigned long long>(cs.dedup_hits),
-              static_cast<unsigned long long>(cs.unavailable),
-              static_cast<unsigned long long>(cs.crashes),
-              static_cast<unsigned long long>(cs.drains),
-              static_cast<unsigned long long>(cs.failovers),
-              static_cast<unsigned long long>(cs.partitions_moved),
-              static_cast<unsigned long long>(cs.sessions_migrated));
   // Zero-copy wire gate: across the whole phase-1 soak (every frame built
   // through the pooled path) the pool may allocate at most one buffer per
   // lane — the warm-up watermark — while leases track frames built. Any
@@ -475,23 +447,50 @@ int main() {
   const bool pool_ok = healthy_gw.pool_allocations <= healthy_lanes &&
                        healthy_gw.pool_leases >= healthy_gw.frames_sent &&
                        healthy_gw.pool_leases > healthy_gw.pool_allocations;
-  std::printf("  \"pooled_wire\": {\"lanes\": %zu, \"frames_sent\": %llu, "
-              "\"pool_leases\": %llu, \"pool_allocations\": %llu, \"steady_state_ok\": %s},\n",
-              healthy_lanes, static_cast<unsigned long long>(healthy_gw.frames_sent),
-              static_cast<unsigned long long>(healthy_gw.pool_leases),
-              static_cast<unsigned long long>(healthy_gw.pool_allocations), ok(pool_ok));
-  std::printf("  \"accepted_replays\": %llu,\n  \"double_grants\": %llu,\n"
-              "  \"unresolved_in_flight\": %llu,\n  \"wellformed_success\": %.4f,\n",
-              static_cast<unsigned long long>(accepted_replays),
-              static_cast<unsigned long long>(double_grants),
-              static_cast<unsigned long long>(unresolved_in_flight), wellformed_success);
-  std::printf("  \"probe_ledger_ok\": %s,\n  \"window_ledger_ok\": %s,\n"
-              "  \"reopened_ledger_ok\": %s,\n  \"blackhole_ledger_ok\": %s,\n"
-              "  \"chaos_typed_ok\": %s,\n  \"grants_accounted\": %s,\n"
-              "  \"chaos_ran\": %s,\n  \"success_ok\": %s,\n  \"resolved_ok\": %s\n}\n",
-              ok(probe_ledger_ok), ok(window_ledger_ok), ok(reopened_ledger_ok),
-              ok(blackhole_ledger_ok), ok(chaos_typed_ok), ok(grants_accounted), ok(chaos_ran),
-              ok(success_ok), ok(resolved_ok));
+  Json::object()
+      .add("bench", "cluster")
+      .add("sessions", sessions)
+      .add("nodes", cluster.nodes())
+      .add("partitions", cluster.partitions())
+      .add("wan_loss", Json::num(loss, 3))
+      .add("phases", Json::object()
+                         .add("healthy", phase_json(healthy))
+                         .add("probes", phase_json(probes))
+                         .add("crash", phase_json(crash_phase))
+                         .add("crash_window", phase_json(window))
+                         .add("post_failover_replay", phase_json(reopened))
+                         .add("drain", phase_json(drain_phase))
+                         .add("blackhole", phase_json(blackhole)))
+      .add("cluster", Json::object()
+                          .add("executed", cs.executed)
+                          .add("vault_grants", cs.vault_grants)
+                          .add("dedup_hits", cs.dedup_hits)
+                          .add("unavailable", cs.unavailable)
+                          .add("crashes", cs.crashes)
+                          .add("drains", cs.drains)
+                          .add("failovers", cs.failovers)
+                          .add("partitions_moved", cs.partitions_moved)
+                          .add("sessions_migrated", cs.sessions_migrated))
+      .add("pooled_wire", Json::object()
+                              .add("lanes", healthy_lanes)
+                              .add("frames_sent", healthy_gw.frames_sent)
+                              .add("pool_leases", healthy_gw.pool_leases)
+                              .add("pool_allocations", healthy_gw.pool_allocations)
+                              .add("steady_state_ok", pool_ok))
+      .add("accepted_replays", accepted_replays)
+      .add("double_grants", double_grants)
+      .add("unresolved_in_flight", unresolved_in_flight)
+      .add("wellformed_success", Json::num(wellformed_success, 4))
+      .add("probe_ledger_ok", probe_ledger_ok)
+      .add("window_ledger_ok", window_ledger_ok)
+      .add("reopened_ledger_ok", reopened_ledger_ok)
+      .add("blackhole_ledger_ok", blackhole_ledger_ok)
+      .add("chaos_typed_ok", chaos_typed_ok)
+      .add("grants_accounted", grants_accounted)
+      .add("chaos_ran", chaos_ran)
+      .add("success_ok", success_ok)
+      .add("resolved_ok", resolved_ok)
+      .print();
 
   const bool pass = accepted_replays == 0 && double_grants == 0 && unresolved_in_flight == 0 &&
                     resolved_ok && probe_ledger_ok && window_ledger_ok && reopened_ledger_ok &&

@@ -1,4 +1,4 @@
-// Offline-grant soak (DESIGN.md §14): one actuator rides a full
+// Offline-grant soak (DESIGN.md §13): one actuator rides a full
 // reachable -> partitioned -> healed cycle and the ledger stays EXACT at
 // every step:
 //
@@ -34,11 +34,11 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "crypto/drbg.hpp"
 #include "server/cluster.hpp"
 #include "server/gateway.hpp"
@@ -46,6 +46,7 @@
 
 using namespace wavekey;
 using namespace wavekey::server;
+using wavekey::bench::Json;
 
 namespace {
 
@@ -103,7 +104,6 @@ struct Tally {
   }
 };
 
-const char* ok(bool b) { return b ? "true" : "false"; }
 
 constexpr std::uint64_t kTenant = 1;
 constexpr std::uint64_t kTag = 42;        ///< the soak tag
@@ -156,7 +156,7 @@ int main() {
   for (std::uint64_t sid = 0; sid < online_requests; ++sid) {
     rng.random_bytes(keys[sid]);
     if (!cluster.install(sid, keys[sid])) {
-      std::printf("{\"bench\": \"grants\", \"error\": \"install failed\"}\n");
+      Json::object().add("bench", "grants").add("error", "install failed").print();
       return 1;
     }
   }
@@ -361,52 +361,48 @@ int main() {
       issuer_audit.verify_range(0, 0, issuer_records) == std::nullopt;
 
   // ---- report ---------------------------------------------------------------
-  std::printf("{\n  \"bench\": \"grants\",\n");
-  std::printf("  \"online_requests\": %llu,\n  \"offline_grants\": %llu,\n"
-              "  \"handoff_grants\": %llu,\n",
-              static_cast<unsigned long long>(online_requests),
-              static_cast<unsigned long long>(offline_grants),
-              static_cast<unsigned long long>(handoff_grants));
-  const auto phase_json = [](const char* name, Tally& t, bool last = false) {
-    std::printf("    \"%s\": {\"submitted\": %llu, \"resolved\": %llu, \"granted\": %llu, "
-                "\"replay\": %llu, \"rollback\": %llu, \"bad_mac\": %llu, \"expired\": %llu, "
-                "\"wrong_scope\": %llu, \"unknown\": %llu, \"malformed\": %llu, "
-                "\"retry_exhausted\": %llu, \"offline\": %llu}%s\n",
-                name, static_cast<unsigned long long>(t.submitted),
-                static_cast<unsigned long long>(t.resolved),
-                static_cast<unsigned long long>(t.count(AccessStatus::kGranted)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kReplay)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kCounterRollback)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kBadMac)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kExpired)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kWrongScope)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kUnknownSession)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kMalformed)),
-                static_cast<unsigned long long>(t.count(AccessStatus::kRetryExhausted)),
-                static_cast<unsigned long long>(t.offline), last ? "" : ",");
+  const auto phase_json = [](Tally& t) {
+    return Json::object()
+        .add("submitted", t.submitted)
+        .add("resolved", t.resolved)
+        .add("granted", t.count(AccessStatus::kGranted))
+        .add("replay", t.count(AccessStatus::kReplay))
+        .add("rollback", t.count(AccessStatus::kCounterRollback))
+        .add("bad_mac", t.count(AccessStatus::kBadMac))
+        .add("expired", t.count(AccessStatus::kExpired))
+        .add("wrong_scope", t.count(AccessStatus::kWrongScope))
+        .add("unknown", t.count(AccessStatus::kUnknownSession))
+        .add("malformed", t.count(AccessStatus::kMalformed))
+        .add("retry_exhausted", t.count(AccessStatus::kRetryExhausted))
+        .add("offline", t.offline);
   };
-  std::printf("  \"phases\": {\n");
-  phase_json("reachable", reachable);
-  phase_json("partitioned", partitioned);
-  phase_json("healed", healed, true);
-  std::printf("  },\n");
-  std::printf("  \"audit\": {\"cluster_records\": %llu, \"verifier_records\": %llu, "
-              "\"issuer_records\": %llu, \"tampered_index\": %llu, \"pinpointed\": %lld},\n",
-              static_cast<unsigned long long>(cluster.audit_log(0)->total_size()),
-              static_cast<unsigned long long>(verifier_audit.total_size()),
-              static_cast<unsigned long long>(issuer_audit.total_size()),
-              static_cast<unsigned long long>(tampered_index),
-              pinpointed ? static_cast<long long>(*pinpointed) : -1);
-  std::printf("  \"revoked_refused\": %llu,\n",
-              static_cast<unsigned long long>(revoked_refused));
-  std::printf("  \"reachable_ledger_ok\": %s,\n  \"crosslink_ok\": %s,\n"
-              "  \"partitioned_ledger_ok\": %s,\n  \"vault_free_ok\": %s,\n"
-              "  \"sibling_scoping_ok\": %s,\n  \"revoked_ledger_ok\": %s,\n"
-              "  \"healed_ledger_ok\": %s,\n  \"verifier_chain_ok\": %s,\n"
-              "  \"tamper_ok\": %s,\n  \"issuer_chain_ok\": %s\n}\n",
-              ok(reachable_ledger_ok), ok(crosslink_ok), ok(partitioned_ledger_ok),
-              ok(vault_free_ok), ok(sibling_scoping_ok), ok(revoked_ledger_ok),
-              ok(healed_ledger_ok), ok(verifier_chain_ok), ok(tamper_ok), ok(issuer_chain_ok));
+  Json::object()
+      .add("bench", "grants")
+      .add("online_requests", online_requests)
+      .add("offline_grants", offline_grants)
+      .add("handoff_grants", handoff_grants)
+      .add("phases", Json::object()
+                         .add("reachable", phase_json(reachable))
+                         .add("partitioned", phase_json(partitioned))
+                         .add("healed", phase_json(healed)))
+      .add("audit", Json::object()
+                        .add("cluster_records", cluster.audit_log(0)->total_size())
+                        .add("verifier_records", verifier_audit.total_size())
+                        .add("issuer_records", issuer_audit.total_size())
+                        .add("tampered_index", tampered_index)
+                        .add("pinpointed", pinpointed ? static_cast<long long>(*pinpointed) : -1))
+      .add("revoked_refused", revoked_refused)
+      .add("reachable_ledger_ok", reachable_ledger_ok)
+      .add("crosslink_ok", crosslink_ok)
+      .add("partitioned_ledger_ok", partitioned_ledger_ok)
+      .add("vault_free_ok", vault_free_ok)
+      .add("sibling_scoping_ok", sibling_scoping_ok)
+      .add("revoked_ledger_ok", revoked_ledger_ok)
+      .add("healed_ledger_ok", healed_ledger_ok)
+      .add("verifier_chain_ok", verifier_chain_ok)
+      .add("tamper_ok", tamper_ok)
+      .add("issuer_chain_ok", issuer_chain_ok)
+      .print();
 
   const bool pass = reachable_ledger_ok && crosslink_ok && partitioned_ledger_ok &&
                     vault_free_ok && sibling_scoping_ok && revoked_ledger_ok &&

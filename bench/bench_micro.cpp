@@ -158,7 +158,7 @@ void BM_ImuEncoderInference(benchmark::State& state) {
 BENCHMARK(BM_ImuEncoderInference);
 
 void BM_EncoderBatchedForward(benchmark::State& state) {
-  // Cross-session batched IMU-En forward (DESIGN.md §11.3): B samples
+  // Cross-session batched IMU-En forward (DESIGN.md §10.3): B samples
   // through one shared-GEMM lowering. B = 1 is the bit-identical serial
   // delegation; the per-sample time should fall as B grows until the GEMMs
   // saturate. items_per_second is samples (not batches) per second.

@@ -1,25 +1,26 @@
-// Access-control server soak (DESIGN.md §9): end-to-end serving throughput
-// of server::AccessServer behind a real pairing handoff. Phase 1 runs
-// core::PairingEngine over a few sessions and streams the established keys
-// into the vault via on_established (tau accounting included — violations
-// must stay zero). Phase 2 replays a deterministic request mix against a
-// fresh server per thread count: valid grants, byte-exact replays, revoked /
-// expired / stale-epoch / bad-MAC probes, and an over-budget tenant — so
-// every rejection class has a closed-form expected count and the bench can
-// assert the full ledger, not just sample it. A separate overload burst
+// Serving front-end soak (DESIGN.md §9): end-to-end serving throughput of a
+// single-server deployment — server::ReaderGateway with tenant admission in
+// front of a one-node server::VaultCluster — behind a real pairing handoff.
+// Phase 1 runs core::PairingEngine over a few sessions and streams the
+// established keys into the vault via on_established (tau accounting
+// included — violations must stay zero). Phase 2 replays a deterministic
+// request mix against a fresh front end per thread count (gateway lanes =
+// threads): valid grants, byte-exact replays, revoked / expired /
+// stale-epoch / bad-MAC probes, and an over-budget tenant — so every
+// rejection class has a closed-form expected count and the bench can assert
+// the full ledger, not just sample it. A separate overload burst
 // demonstrates load shedding, and a vault sweep reports authorize/s vs
 // shard count at fixed concurrency.
 //
 // Each granted request spends io_wait_ms of emulated actuation I/O (door
 // strike / reader round-trip) parked in the event-loop timer wheel — the
-// request coroutine suspends, the worker moves on. In-flight waits
-// therefore overlap regardless of the thread count (even one worker parks
-// thousands of grants), which the exit code asserts as an I/O overlap
-// factor (granted x io_wait / wall) instead of the old thread-scaling
-// ratio the blocking design needed. Verify latency percentiles (parse +
-// HMAC + vault, no I/O, p50..p99.9) are reported separately, and a
-// dedicated async burst proves >= 10k concurrently parked grants on 4
-// threads.
+// resolution suspends, the lane moves on. In-flight waits therefore overlap
+// regardless of the thread count (even one lane parks thousands of
+// grants), which the exit code asserts as an I/O overlap factor (granted x
+// io_wait / wall). Verify latency percentiles (lane pick-up to typed
+// resolution: framing, cluster routing, HMAC, vault, audit; no I/O;
+// p50..p99.9) are reported separately, and a dedicated async burst proves
+// >= 10k concurrently parked grants on 4 threads.
 //
 // Exit code asserts: per-point ledger exact (hence zero accepted replays
 // and zero double-grants), zero tau violations, shed burst actually sheds,
@@ -33,13 +34,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "bench/percentile.hpp"
 #include "core/config.hpp"
 #include "core/pairing_engine.hpp"
@@ -47,10 +48,12 @@
 #include "crypto/drbg.hpp"
 #include "numeric/rng.hpp"
 #include "runtime/cpu.hpp"
-#include "server/access_server.hpp"
+#include "server/cluster.hpp"
+#include "server/gateway.hpp"
 
 using namespace wavekey;
 using namespace wavekey::server;
+using wavekey::bench::Json;
 
 namespace {
 
@@ -107,23 +110,43 @@ SessionKey random_session_key(crypto::Drbg& rng) {
   return key;
 }
 
-/// Thread-safe aggregation of completion callbacks.
+/// Thread-safe collection of the granted requests' verify latencies.
 struct Collector {
   std::mutex mutex;
   std::vector<double> granted_verify_s;
-  std::uint64_t counts[kAccessStatusCount] = {};
 
-  AccessServer::Callback recorder() {
-    return [this](const AccessOutcome& outcome) {
+  ReaderGateway::Callback recorder() {
+    return [this](const GatewayResult& result) {
+      if (result.status != AccessStatus::kGranted) return;
       std::lock_guard<std::mutex> lock(mutex);
-      counts[static_cast<std::size_t>(outcome.status)] += 1;
-      if (outcome.status == AccessStatus::kGranted) granted_verify_s.push_back(outcome.verify_s);
+      granted_verify_s.push_back(result.verify_s);
     };
   }
-  std::uint64_t count(AccessStatus status) const {
-    return counts[static_cast<std::size_t>(status)];
-  }
 };
+
+std::uint64_t outcome(const GatewayStats& stats, AccessStatus status) {
+  return stats.outcomes[static_cast<std::size_t>(status)];
+}
+
+/// A single-server deployment is one vault node (no replica) ...
+ClusterConfig one_node(const VaultConfig& vault) {
+  ClusterConfig config;
+  config.nodes = 1;
+  config.vault = vault;
+  return config;
+}
+
+/// ... behind a gateway with `threads` lanes, an admission window of
+/// `window` requests and `io_wait` seconds of actuation per grant.
+GatewayConfig front_end(std::size_t threads, std::size_t window, double io_wait,
+                        const AdmissionConfig& admission) {
+  GatewayConfig config;
+  config.workers = threads;
+  config.queue_capacity = window;
+  config.io_wait_s = io_wait;
+  config.admission = admission;
+  return config;
+}
 
 /// Closed-form expected outcome counts for one soak point.
 struct Ledger {
@@ -144,7 +167,7 @@ struct Point {
   double io_overlap = 0.0;  ///< granted * io_wait / wall: >1 proves parked waits overlap
   double p50_verify_us = 0.0, p95_verify_us = 0.0, p99_verify_us = 0.0;
   double p999_verify_us = 0.0;
-  AccessServerStats stats;
+  GatewayStats stats;
   std::uint64_t accepted_replays = 0;  ///< grants above the expected ledger
   bool ledger_ok = false;
 };
@@ -155,35 +178,28 @@ constexpr double kBurst = 32.0;  ///< admission burst (abuser's entire budget)
 
 /// Runs one soak point: `sessions` main sessions (the first `paired.size()`
 /// keyed from the pairing handoff) plus dedicated revoked / expired /
-/// stale / bad-MAC / abuser sessions, on a fresh server.
+/// stale / bad-MAC / abuser sessions, on a fresh front end.
 Point run_point(std::size_t threads, int sessions, const std::vector<SessionKey>& paired) {
-  AccessServerConfig config;
-  config.threads = threads;
-  config.io_wait_s = io_wait_s();
-  config.vault.shards = kShards;
-  config.vault.capacity = static_cast<std::size_t>(sessions) + 64 + kRounds;
-  config.vault.ttl_s = 3600.0;
-  config.vault.replay_window_bits = 512;  // out-of-order across workers
-  config.admission.rate_per_s = 1e-9;     // no refill: burst is the budget
-  config.admission.burst = kBurst;
-  config.admission.max_tenants = static_cast<std::size_t>(sessions) + 16;
-  // The ledger assumes nothing sheds: hold the whole deterministic flood.
-  config.queue_capacity = static_cast<std::size_t>(sessions) * kRounds * 2 + 256;
-  // The ledger also assumes the expired probes reach the vault as expired:
-  // a periodic sweep could reclaim them first and answer kUnknownSession.
-  // The sweep is covered by AccessServerTest.
-  // SubmitPathBackgroundPurgeReclaimsExpiredSessions instead.
-  config.vault_purge_interval_s = 0.0;
+  VaultConfig vault;
+  vault.shards = kShards;
+  vault.capacity = static_cast<std::size_t>(sessions) + 64 + kRounds;
+  vault.ttl_s = 3600.0;
+  vault.replay_window_bits = 512;  // out-of-order across lanes
+  AdmissionConfig admission;
+  admission.rate_per_s = 1e-9;  // no refill: burst is the budget
+  admission.burst = kBurst;
+  admission.max_tenants = static_cast<std::size_t>(sessions) + 16;
+  // The ledger assumes nothing sheds: the window holds the whole flood.
+  const std::size_t window = static_cast<std::size_t>(sessions) * kRounds * 2 + 256;
 
-  AccessServer server(config);
+  VaultCluster cluster(one_node(vault));
   crypto::Drbg key_rng(0xC0FFEEull);
   std::vector<SessionKey> keys(static_cast<std::size_t>(sessions));
   for (int id = 0; id < sessions; ++id) {
     keys[static_cast<std::size_t>(id)] = static_cast<std::size_t>(id) < paired.size()
                                              ? paired[static_cast<std::size_t>(id)]
                                              : random_session_key(key_rng);
-    server.vault().install(static_cast<std::uint64_t>(id), keys[static_cast<std::size_t>(id)],
-                           server.now_s());
+    cluster.install(static_cast<std::uint64_t>(id), keys[static_cast<std::size_t>(id)]);
   }
 
   // Dedicated error-class sessions, ids disjoint from the main range.
@@ -196,16 +212,16 @@ Point run_point(std::size_t threads, int sessions, const std::vector<SessionKey>
   const SessionKey stale_key = random_session_key(key_rng);
   const SessionKey bad_mac_key = random_session_key(key_rng);
   const SessionKey abuser_key = random_session_key(key_rng);
-  server.vault().install(kRevokedId, revoked_key, server.now_s());
-  server.vault().revoke(kRevokedId);
-  server.vault().install(kStaleId, stale_key, server.now_s());
-  server.vault().rotate(kStaleId, server.now_s());  // epoch-0 MACs now stale
-  server.vault().install(kBadMacId, bad_mac_key, server.now_s());
-  server.vault().install(kAbuserId, abuser_key, server.now_s());
+  cluster.install(kRevokedId, revoked_key);
+  cluster.revoke(kRevokedId);
+  cluster.install(kStaleId, stale_key);
+  cluster.rotate(kStaleId);  // epoch-0 MACs now stale
+  cluster.install(kBadMacId, bad_mac_key);
+  cluster.install(kAbuserId, abuser_key);
 
+  ReaderGateway gateway(cluster, front_end(threads, window, io_wait_s(), admission));
   Ledger expected;
   Collector collector;
-  std::uint64_t tag = 0;
   std::uint64_t submit_index = 0;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -217,59 +233,58 @@ Point run_point(std::size_t threads, int sessions, const std::vector<SessionKey>
           sid, 0, counter, nonce_from(counter), {0xAC, static_cast<std::uint8_t>(id)},
           keys[static_cast<std::size_t>(id)]);
       const protocol::Bytes wire = req.serialize();
-      server.submit(++tag, /*tenant=*/sid, wire, collector.recorder());
+      gateway.submit(/*tenant=*/sid, wire, collector.recorder());
       expected.granted += 1;
       // Every 8th frame is re-sent byte for byte: exactly one of the pair
       // may be granted, the other must be a replay rejection.
       if (submit_index++ % 8 == 0) {
-        server.submit(++tag, sid, wire, collector.recorder());
+        gateway.submit(sid, wire, collector.recorder());
         expected.replay += 1;
       }
     }
     // One probe per error class per round, each with its own tenant.
-    server.submit(++tag, kRevokedId,
-                  make_access_request(kRevokedId, 0, counter, nonce_from(counter), {},
-                                      revoked_key)
-                      .serialize(),
-                  collector.recorder());
+    gateway.submit(kRevokedId,
+                   make_access_request(kRevokedId, 0, counter, nonce_from(counter), {},
+                                       revoked_key)
+                       .serialize(),
+                   collector.recorder());
     expected.revoked += 1;
 
     const std::uint64_t expired_id = kExpiredBase + counter;
     const SessionKey expired_key = random_session_key(key_rng);
     // Backdated install: already past its TTL when the probe is served.
-    server.vault().install(expired_id, expired_key,
-                           server.now_s() - config.vault.ttl_s - 1.0);
-    server.submit(++tag, expired_id,
-                  make_access_request(expired_id, 0, 1, nonce_from(1), {}, expired_key)
-                      .serialize(),
-                  collector.recorder());
+    cluster.install(expired_id, expired_key, cluster.now_s() - vault.ttl_s - 1.0);
+    gateway.submit(expired_id,
+                   make_access_request(expired_id, 0, 1, nonce_from(1), {}, expired_key)
+                       .serialize(),
+                   collector.recorder());
     expected.expired += 1;
 
-    server.submit(++tag, kStaleId,
-                  make_access_request(kStaleId, 0, counter, nonce_from(counter), {}, stale_key)
-                      .serialize(),
-                  collector.recorder());
+    gateway.submit(kStaleId,
+                   make_access_request(kStaleId, 0, counter, nonce_from(counter), {}, stale_key)
+                       .serialize(),
+                   collector.recorder());
     expected.stale += 1;
 
     AccessRequest tampered = make_access_request(kBadMacId, 0, counter, nonce_from(counter),
                                                  {0xBB}, bad_mac_key);
     tampered.payload[0] ^= 0x01;  // MAC no longer covers the payload
-    server.submit(++tag, kBadMacId, tampered.serialize(), collector.recorder());
+    gateway.submit(kBadMacId, tampered.serialize(), collector.recorder());
     expected.bad_mac += 1;
   }
 
   // Over-budget tenant: kBurst requests fit the bucket (all granted),
   // kRounds more are rate-limited before touching the queue.
   for (std::uint64_t c = 1; c <= static_cast<std::uint64_t>(kBurst) + kRounds; ++c) {
-    server.submit(++tag, kAbuserId,
-                  make_access_request(kAbuserId, 0, c, nonce_from(c), {}, abuser_key)
-                      .serialize(),
-                  collector.recorder());
+    gateway.submit(kAbuserId,
+                   make_access_request(kAbuserId, 0, c, nonce_from(c), {}, abuser_key)
+                       .serialize(),
+                   collector.recorder());
   }
   expected.granted += static_cast<std::uint64_t>(kBurst);
   expected.rate_limited += kRounds;
 
-  server.finish();
+  gateway.finish();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -277,29 +292,29 @@ Point run_point(std::size_t threads, int sessions, const std::vector<SessionKey>
   point.threads = threads;
   point.shards = kShards;
   point.wall_s = wall;
-  point.stats = server.stats();
-  point.grants_per_sec = static_cast<double>(point.stats.granted) / wall;
-  point.io_overlap =
-      wall > 0.0 ? static_cast<double>(point.stats.granted) * io_wait_s() / wall : 0.0;
+  point.stats = gateway.stats();
+  const std::uint64_t granted = outcome(point.stats, AccessStatus::kGranted);
+  point.grants_per_sec = static_cast<double>(granted) / wall;
+  point.io_overlap = wall > 0.0 ? static_cast<double>(granted) * io_wait_s() / wall : 0.0;
   point.p50_verify_us = percentile_us(collector.granted_verify_s, 0.50);
   point.p95_verify_us = percentile_us(collector.granted_verify_s, 0.95);
   point.p99_verify_us = percentile_us(collector.granted_verify_s, 0.99);
   point.p999_verify_us = percentile_us(collector.granted_verify_s, 0.999);
-  point.accepted_replays =
-      point.stats.granted > expected.granted ? point.stats.granted - expected.granted : 0;
-  point.ledger_ok = point.stats.granted == expected.granted &&
-                    point.stats.replay_rejected == expected.replay &&
-                    point.stats.revoked == expected.revoked &&
-                    point.stats.expired == expected.expired &&
-                    point.stats.stale_epoch == expected.stale &&
-                    point.stats.bad_mac == expected.bad_mac &&
-                    point.stats.rate_limited == expected.rate_limited &&
-                    point.stats.shed == 0 && point.stats.malformed == 0;
+  point.accepted_replays = granted > expected.granted ? granted - expected.granted : 0;
+  const auto count = [&](AccessStatus status) { return outcome(point.stats, status); };
+  point.ledger_ok = granted == expected.granted &&
+                    count(AccessStatus::kReplay) == expected.replay &&
+                    count(AccessStatus::kRevoked) == expected.revoked &&
+                    count(AccessStatus::kExpired) == expected.expired &&
+                    count(AccessStatus::kStaleEpoch) == expected.stale &&
+                    count(AccessStatus::kBadMac) == expected.bad_mac &&
+                    count(AccessStatus::kRateLimited) == expected.rate_limited &&
+                    count(AccessStatus::kShed) == 0 && count(AccessStatus::kMalformed) == 0;
   return point;
 }
 
-/// Overload burst against a deliberately tiny server: proves full queues
-/// degrade into immediate typed kShed rejects, not blocking.
+/// Overload burst against a deliberately tiny admission window: proves a
+/// full window degrades into immediate typed kShed rejects, not blocking.
 struct ShedBurst {
   std::uint64_t submitted = 0;
   std::uint64_t shed = 0;
@@ -307,34 +322,32 @@ struct ShedBurst {
 };
 
 ShedBurst run_shed_burst() {
-  AccessServerConfig config;
-  config.threads = 1;
-  config.queue_capacity = 2;
-  config.io_wait_s = 0.02;  // worker holds each grant for 20 ms
-  config.admission.burst = 1e6;
-  AccessServer server(config);
+  VaultCluster cluster(one_node(VaultConfig{}));
+  AdmissionConfig admission;
+  admission.burst = 1e6;
+  // Each grant stays in the window for its 20 ms actuation.
+  ReaderGateway gateway(cluster, front_end(1, 2, 0.02, admission));
   crypto::Drbg rng(7);
   const SessionKey key = random_session_key(rng);
-  server.vault().install(1, key, server.now_s());
+  cluster.install(1, key);
 
   ShedBurst burst;
   burst.submitted = 32;
   for (std::uint64_t c = 1; c <= burst.submitted; ++c)
-    server.submit(c, 1, make_access_request(1, 0, c, nonce_from(c), {}, key).serialize(),
-                  nullptr);
-  server.finish();
-  const AccessServerStats stats = server.stats();
-  burst.shed = stats.shed;
-  burst.granted = stats.granted;
+    gateway.submit(1, make_access_request(1, 0, c, nonce_from(c), {}, key).serialize(), nullptr);
+  gateway.finish();
+  const GatewayStats stats = gateway.stats();
+  burst.shed = outcome(stats, AccessStatus::kShed);
+  burst.granted = outcome(stats, AccessStatus::kGranted);
   return burst;
 }
 
-/// Coroutine-concurrency burst (the tentpole gate): 12k grants with 250 ms
-/// of actuation I/O each, on 4 event-loop workers. A parked grant holds no
-/// worker — its frame sits in the timer wheel — so the whole flood suspends
-/// concurrently and the server's own high-water marks (peak_in_flight /
-/// peak_suspended, maintained under the stats lock) prove >= 10k in-flight
-/// grants on 4 threads. The burst is deliberately NOT scaled by
+/// Coroutine-concurrency burst: 12k grants with 250 ms of actuation I/O
+/// each, on 4 gateway lanes. A parked grant holds no lane — its frame sits
+/// in the timer wheel — so the whole flood suspends concurrently and the
+/// gateway's own high-water marks (peak_in_flight / peak_suspended,
+/// maintained under the stats lock) prove >= 10k in-flight grants on 4
+/// threads. The burst is deliberately NOT scaled by
 /// WAVEKEY_BENCH_SCALE: the 10k floor is the acceptance criterion.
 struct AsyncBurst {
   std::size_t threads = 4;
@@ -356,42 +369,42 @@ AsyncBurst run_async_burst() {
   burst.submitted = kGrants;
   burst.io_wait_ms = 250.0;
 
-  AccessServerConfig config;
-  config.threads = burst.threads;
-  config.queue_capacity = kGrants + 64;  // admission window holds the flood
-  config.io_wait_s = burst.io_wait_ms / 1000.0;
-  config.vault.capacity = kSessions * 2;
-  config.vault.ttl_s = 3600.0;
-  config.vault.replay_window_bits = 512;
-  config.admission.rate_per_s = 1e-9;
-  config.admission.burst = static_cast<double>(kGrants);
-  config.admission.max_tenants = kSessions + 8;
+  VaultConfig vault;
+  vault.capacity = kSessions * 2;
+  vault.ttl_s = 3600.0;
+  vault.replay_window_bits = 512;
+  AdmissionConfig admission;
+  admission.rate_per_s = 1e-9;
+  admission.burst = static_cast<double>(kGrants);
+  admission.max_tenants = kSessions + 8;
 
-  AccessServer server(config);
+  VaultCluster cluster(one_node(vault));
   crypto::Drbg rng(0xA51Cull);
   std::vector<SessionKey> keys(kSessions);
   for (std::uint64_t sid = 0; sid < kSessions; ++sid) {
     keys[sid] = random_session_key(rng);
-    server.vault().install(sid, keys[sid], server.now_s());
+    cluster.install(sid, keys[sid]);
   }
+  // The admission window holds the whole flood.
+  ReaderGateway gateway(cluster, front_end(burst.threads, kGrants + 64,
+                                          burst.io_wait_ms / 1000.0, admission));
 
   Collector collector;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < kGrants; ++i) {
     const std::uint64_t sid = i % kSessions;
     const std::uint64_t counter = 1 + i / kSessions;
-    server.submit(i, sid,
-                  make_access_request(sid, 0, counter, nonce_from(counter), {},
-                                      keys[sid])
-                      .serialize(),
-                  collector.recorder());
+    gateway.submit(sid,
+                   make_access_request(sid, 0, counter, nonce_from(counter), {}, keys[sid])
+                       .serialize(),
+                   collector.recorder());
   }
-  server.finish();
+  gateway.finish();
   burst.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  const AccessServerStats stats = server.stats();
-  burst.granted = stats.granted;
-  burst.shed = stats.shed;
+  const GatewayStats stats = gateway.stats();
+  burst.granted = outcome(stats, AccessStatus::kGranted);
+  burst.shed = outcome(stats, AccessStatus::kShed);
   burst.peak_in_flight = stats.peak_in_flight;
   burst.peak_suspended = stats.peak_suspended;
   burst.p50_verify_us = percentile_us(collector.granted_verify_s, 0.50);
@@ -402,11 +415,16 @@ AsyncBurst run_async_burst() {
 /// Direct vault hammering at fixed concurrency: authorize/s vs shard count
 /// (informational — isolates shard-lock contention from the serving path).
 double vault_authorizes_per_sec(std::size_t shards, int sessions, int ops_per_thread) {
+  constexpr std::size_t kThreads = 4;
   VaultConfig config;
   config.shards = shards;
-  config.capacity = static_cast<std::size_t>(sessions) * 2;
+  // Any failed authorize voids the run, so neither limit may bite: room for
+  // every session in every shard (an uneven hash split must not LRU-evict),
+  // and a replay window spanning every counter of the run (each thread
+  // draws its own counter range, so a session sees them out of order).
+  config.capacity = static_cast<std::size_t>(sessions) * shards;
   config.ttl_s = 3600.0;
-  config.replay_window_bits = 4096;
+  config.replay_window_bits = kThreads * static_cast<std::size_t>(ops_per_thread);
   KeyVault vault(config);
   crypto::Drbg rng(11);
   std::vector<SessionKey> keys(static_cast<std::size_t>(sessions));
@@ -415,7 +433,6 @@ double vault_authorizes_per_sec(std::size_t shards, int sessions, int ops_per_th
     vault.install(static_cast<std::uint64_t>(id), keys[static_cast<std::size_t>(id)], 0.0);
   }
 
-  constexpr std::size_t kThreads = 4;
   std::atomic<std::uint64_t> failures{0};
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
@@ -490,83 +507,84 @@ int main() {
     for (const auto& [id, key] : handoff) paired.push_back(key);
   }
 
-  std::printf("{\n  \"bench\": \"server\",\n  \"sessions_per_point\": %d,\n"
-              "  \"rounds\": %d,\n  \"io_wait_ms\": %.2f,\n  \"hardware_threads\": %zu,\n"
-              "  \"vault_shards\": %zu,\n  \"paired_sessions\": %zu,\n"
-              "  \"tau_budget_ms\": %.1f,\n  \"points\": [\n",
-              sessions, kRounds, io_wait_s() * 1000.0,
-              runtime::cpu::hardware_threads(), kShards, paired.size(),
-              wk.tau_s * 1000.0);
+  Json report = Json::object();
+  report.add("bench", "server")
+      .add("sessions_per_point", sessions)
+      .add("rounds", kRounds)
+      .add("io_wait_ms", Json::num(io_wait_s() * 1000.0, 2))
+      .add("hardware_threads", runtime::cpu::hardware_threads())
+      .add("vault_shards", kShards)
+      .add("paired_sessions", paired.size())
+      .add("tau_budget_ms", Json::num(wk.tau_s * 1000.0, 1));
 
   std::vector<Point> points;
-  bool first = true;
   bool all_ledgers_ok = true;
+  Json points_json = Json::array();
   for (std::size_t threads : counts) {
     const Point p = run_point(threads, sessions, paired);
     points.push_back(p);
     if (!p.ledger_ok) all_ledgers_ok = false;
-    std::printf(
-        "%s    {\"threads\": %zu, \"shards\": %zu, \"wall_s\": %.3f, "
-        "\"grants_per_sec\": %.2f, \"io_overlap\": %.1f, \"granted\": %llu, "
-        "\"replay_rejected\": %llu, "
-        "\"expired\": %llu, \"unknown_session\": %llu, \"revoked\": %llu, "
-        "\"stale_epoch\": %llu, \"bad_mac\": %llu, "
-        "\"rate_limited\": %llu, \"shed\": %llu, \"malformed\": %llu, "
-        "\"accepted_replays\": %llu, \"p50_verify_us\": %.1f, \"p95_verify_us\": %.1f, "
-        "\"p99_verify_us\": %.1f, \"p999_verify_us\": %.1f, \"ledger_ok\": %s}",
-        first ? "" : ",\n", p.threads, p.shards, p.wall_s, p.grants_per_sec, p.io_overlap,
-        static_cast<unsigned long long>(p.stats.granted),
-        static_cast<unsigned long long>(p.stats.replay_rejected),
-        static_cast<unsigned long long>(p.stats.expired),
-        static_cast<unsigned long long>(p.stats.unknown_session),
-        static_cast<unsigned long long>(p.stats.revoked),
-        static_cast<unsigned long long>(p.stats.stale_epoch),
-        static_cast<unsigned long long>(p.stats.bad_mac),
-        static_cast<unsigned long long>(p.stats.rate_limited),
-        static_cast<unsigned long long>(p.stats.shed),
-        static_cast<unsigned long long>(p.stats.malformed),
-        static_cast<unsigned long long>(p.accepted_replays), p.p50_verify_us, p.p95_verify_us,
-        p.p99_verify_us, p.p999_verify_us, p.ledger_ok ? "true" : "false");
-    first = false;
+    const auto count = [&](AccessStatus status) { return outcome(p.stats, status); };
+    points_json.push(Json::object()
+                         .add("threads", p.threads)
+                         .add("shards", p.shards)
+                         .add("wall_s", Json::num(p.wall_s, 3))
+                         .add("grants_per_sec", Json::num(p.grants_per_sec, 2))
+                         .add("io_overlap", Json::num(p.io_overlap, 1))
+                         .add("granted", count(AccessStatus::kGranted))
+                         .add("replay_rejected", count(AccessStatus::kReplay))
+                         .add("expired", count(AccessStatus::kExpired))
+                         .add("unknown_session", count(AccessStatus::kUnknownSession))
+                         .add("revoked", count(AccessStatus::kRevoked))
+                         .add("stale_epoch", count(AccessStatus::kStaleEpoch))
+                         .add("bad_mac", count(AccessStatus::kBadMac))
+                         .add("rate_limited", count(AccessStatus::kRateLimited))
+                         .add("shed", count(AccessStatus::kShed))
+                         .add("malformed", count(AccessStatus::kMalformed))
+                         .add("accepted_replays", p.accepted_replays)
+                         .add("p50_verify_us", Json::num(p.p50_verify_us, 1))
+                         .add("p95_verify_us", Json::num(p.p95_verify_us, 1))
+                         .add("p99_verify_us", Json::num(p.p99_verify_us, 1))
+                         .add("p999_verify_us", Json::num(p.p999_verify_us, 1))
+                         .add("ledger_ok", p.ledger_ok));
   }
+  report.add("points", std::move(points_json));
 
   // Shard sweep at 4 OS threads (informational).
   const int vault_sessions = std::max(sessions, 16);
   const int ops_per_thread = 400 * std::max(1, sessions / 16);
-  std::printf("\n  ],\n  \"vault_scaling\": [\n");
-  first = true;
+  Json scaling = Json::array();
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     const double rate = vault_authorizes_per_sec(shards, vault_sessions, ops_per_thread);
-    std::printf("%s    {\"shards\": %zu, \"authorizes_per_sec\": %.0f}", first ? "" : ",\n",
-                shards, rate);
-    first = false;
+    scaling.push(
+        Json::object().add("shards", shards).add("authorizes_per_sec", Json::num(rate, 0)));
   }
+  report.add("vault_scaling", std::move(scaling));
 
   const ShedBurst burst = run_shed_burst();
-  std::printf("\n  ],\n  \"shed_burst\": {\"submitted\": %llu, \"shed\": %llu, "
-              "\"granted\": %llu},\n",
-              static_cast<unsigned long long>(burst.submitted),
-              static_cast<unsigned long long>(burst.shed),
-              static_cast<unsigned long long>(burst.granted));
+  report.add("shed_burst", Json::object()
+                               .add("submitted", burst.submitted)
+                               .add("shed", burst.shed)
+                               .add("granted", burst.granted));
 
   const AsyncBurst async_burst = run_async_burst();
-  std::printf("  \"async_burst\": {\"threads\": %zu, \"submitted\": %llu, "
-              "\"granted\": %llu, \"shed\": %llu, \"peak_in_flight\": %llu, "
-              "\"peak_suspended\": %llu, \"io_wait_ms\": %.1f, \"wall_s\": %.3f, "
-              "\"p50_verify_us\": %.1f, \"p999_verify_us\": %.1f},\n",
-              async_burst.threads, static_cast<unsigned long long>(async_burst.submitted),
-              static_cast<unsigned long long>(async_burst.granted),
-              static_cast<unsigned long long>(async_burst.shed),
-              static_cast<unsigned long long>(async_burst.peak_in_flight),
-              static_cast<unsigned long long>(async_burst.peak_suspended),
-              async_burst.io_wait_ms, async_burst.wall_s, async_burst.p50_verify_us,
-              async_burst.p999_verify_us);
+  report.add("async_burst", Json::object()
+                                .add("threads", async_burst.threads)
+                                .add("submitted", async_burst.submitted)
+                                .add("granted", async_burst.granted)
+                                .add("shed", async_burst.shed)
+                                .add("peak_in_flight", async_burst.peak_in_flight)
+                                .add("peak_suspended", async_burst.peak_suspended)
+                                .add("io_wait_ms", Json::num(async_burst.io_wait_ms, 1))
+                                .add("wall_s", Json::num(async_burst.wall_s, 3))
+                                .add("p50_verify_us", Json::num(async_burst.p50_verify_us, 1))
+                                .add("p999_verify_us", Json::num(async_burst.p999_verify_us, 1)));
 
   std::uint64_t total_accepted_replays = 0;
   for (const Point& p : points) total_accepted_replays += p.accepted_replays;
-
-  std::printf("  \"accepted_replays\": %llu,\n  \"tau_deadline_violations\": %d\n}\n",
-              static_cast<unsigned long long>(total_accepted_replays), tau_violations);
+  report.add("accepted_replays", total_accepted_replays)
+      .add("tau_deadline_violations", tau_violations);
+  report.print();
 
   const bool shed_ok = burst.shed >= 1 && burst.granted + burst.shed == burst.submitted;
   // With coroutine serving, waits park in the timer wheel at EVERY thread

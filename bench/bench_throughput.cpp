@@ -19,7 +19,7 @@
 // violations.
 //
 // Two further sections cover the cross-session batched encoder stage
-// (DESIGN.md §11):
+// (DESIGN.md §10):
 //
 //  * "encoder_stage" — raw-tensor encode throughput through a shared
 //    core::BatchedEncoderService, batched (max_batch = thread count) vs
@@ -40,12 +40,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "bench/percentile.hpp"
 #include "core/batched_encoder.hpp"
 #include "core/config.hpp"
@@ -57,6 +57,7 @@
 #include "runtime/cpu.hpp"
 
 using namespace wavekey;
+using wavekey::bench::Json;
 using namespace wavekey::core;
 
 namespace {
@@ -173,7 +174,7 @@ Point run_point(const SeedQuantizer& quantizer, const WaveKeyConfig& wk, std::si
   return point;
 }
 
-// --- encoder-stage batching (DESIGN.md §11) --------------------------------
+// --- encoder-stage batching (DESIGN.md §10) --------------------------------
 
 struct SensorPool {
   std::vector<nn::Tensor> imus;
@@ -338,14 +339,15 @@ int main() {
   const int sessions = session_count();
   const std::vector<std::size_t> counts = thread_counts();
 
-  std::printf("{\n  \"bench\": \"throughput\",\n  \"sessions_per_point\": %d,\n"
-              "  \"radio_wait_ms\": %.1f,\n  \"hardware_threads\": %zu,\n"
-              "  \"tau_budget_ms\": %.1f,\n  \"points\": [\n",
-              sessions, radio_wait_s() * 1000.0, runtime::cpu::hardware_threads(),
-              wk.tau_s * 1000.0);
+  Json report = Json::object();
+  report.add("bench", "throughput")
+      .add("sessions_per_point", sessions)
+      .add("radio_wait_ms", Json::num(radio_wait_s() * 1000.0, 1))
+      .add("hardware_threads", runtime::cpu::hardware_threads())
+      .add("tau_budget_ms", Json::num(wk.tau_s * 1000.0, 1));
 
   std::vector<Point> points;
-  bool first = true;
+  Json points_json = Json::array();
   int total_violations = 0;
   bool all_succeeded = true;
   bool p99_within_tau = true;
@@ -355,16 +357,20 @@ int main() {
     total_violations += p.tau_violations;
     if (p.success_rate < 1.0) all_succeeded = false;
     if (p.p99_critical_ms > wk.tau_s * 1000.0) p99_within_tau = false;
-    std::printf("%s    {\"threads\": %zu, \"wall_s\": %.3f, \"sessions_per_sec\": %.2f, "
-                "\"success_rate\": %.4f, \"p50_service_ms\": %.2f, \"p95_service_ms\": %.2f, "
-                "\"p99_service_ms\": %.2f, \"p999_service_ms\": %.2f, "
-                "\"p99_critical_ms\": %.2f, \"p999_critical_ms\": %.2f, "
-                "\"tau_violations\": %d}",
-                first ? "" : ",\n", p.threads, p.wall_s, p.sessions_per_sec, p.success_rate,
-                p.p50_service_ms, p.p95_service_ms, p.p99_service_ms, p.p999_service_ms,
-                p.p99_critical_ms, p.p999_critical_ms, p.tau_violations);
-    first = false;
+    points_json.push(Json::object()
+                         .add("threads", p.threads)
+                         .add("wall_s", Json::num(p.wall_s, 3))
+                         .add("sessions_per_sec", Json::num(p.sessions_per_sec, 2))
+                         .add("success_rate", Json::num(p.success_rate, 4))
+                         .add("p50_service_ms", Json::num(p.p50_service_ms, 2))
+                         .add("p95_service_ms", Json::num(p.p95_service_ms, 2))
+                         .add("p99_service_ms", Json::num(p.p99_service_ms, 2))
+                         .add("p999_service_ms", Json::num(p.p999_service_ms, 2))
+                         .add("p99_critical_ms", Json::num(p.p99_critical_ms, 2))
+                         .add("p999_critical_ms", Json::num(p.p999_critical_ms, 2))
+                         .add("tau_violations", p.tau_violations));
   }
+  report.add("points", std::move(points_json));
 
   // --- encoder-stage batching curve ----------------------------------------
   Rng enc_rng(6);
@@ -375,33 +381,40 @@ int main() {
   // factor, where `sessions` alone would be too short a run.
   const int enc_ops = std::max(240, sessions);
 
-  std::printf("\n  ],\n  \"encoder_stage\": {\n    \"ops_per_thread\": %d,\n"
-              "    \"max_hold_us\": 500,\n    \"points\": [\n", enc_ops);
   double batched_speedup_8t = 0.0;
   bool have_8t = false;
-  first = true;
+  Json encoder_points = Json::array();
   for (std::size_t threads : counts) {
     const EncoderPoint p = run_encoder_point(encoders, pool, threads, enc_ops);
     if (p.threads == 8) {
       batched_speedup_8t = p.speedup;
       have_8t = true;
     }
-    std::printf("%s      {\"threads\": %zu, \"max_batch\": %zu, \"unbatched_sps\": %.0f, "
-                "\"batched_sps\": %.0f, \"mean_batch\": %.2f, \"speedup\": %.2f}",
-                first ? "" : ",\n", p.threads, p.max_batch, p.unbatched_sps, p.batched_sps,
-                p.mean_batch, p.speedup);
-    first = false;
+    encoder_points.push(Json::object()
+                            .add("threads", p.threads)
+                            .add("max_batch", p.max_batch)
+                            .add("unbatched_sps", Json::num(p.unbatched_sps, 0))
+                            .add("batched_sps", Json::num(p.batched_sps, 0))
+                            .add("mean_batch", Json::num(p.mean_batch, 2))
+                            .add("speedup", Json::num(p.speedup, 2)));
   }
+  report.add("encoder_stage", Json::object()
+                                  .add("ops_per_thread", enc_ops)
+                                  .add("max_hold_us", 500)
+                                  .add("points", std::move(encoder_points))
+                                  .add("speedup_batched_8t", Json::num(batched_speedup_8t, 2)));
 
   // --- integrated engine + service sessions --------------------------------
   const IntegrationResult integ =
       run_batched_integration(encoders, pool, quantizer, wk, sessions);
-  std::printf("\n    ],\n    \"speedup_batched_8t\": %.2f\n  },\n"
-              "  \"batched_integration\": {\"sessions\": %d, \"successes\": %d, "
-              "\"tau_violations\": %d, \"coalesced\": %d, \"max_hold_ms\": %.3f, "
-              "\"p99_critical_ms\": %.2f},\n",
-              batched_speedup_8t, integ.sessions, integ.successes, integ.tau_violations,
-              integ.coalesced, integ.max_hold_ms, integ.p99_critical_ms);
+  report.add("batched_integration", Json::object()
+                                        .add("sessions", integ.sessions)
+                                        .add("successes", integ.successes)
+                                        .add("tau_violations", integ.tau_violations)
+                                        .add("coalesced", integ.coalesced)
+                                        .add("max_hold_ms", Json::num(integ.max_hold_ms, 3))
+                                        .add("p99_critical_ms",
+                                             Json::num(integ.p99_critical_ms, 2)));
 
   double one_thread = 0.0, four_thread = 0.0;
   for (const Point& p : points) {
@@ -410,9 +423,9 @@ int main() {
   }
   const double speedup = one_thread > 0.0 ? four_thread / one_thread : 0.0;
 
-  std::printf("  \"speedup_4t_over_1t\": %.2f,\n"
-              "  \"tau_deadline_violations\": %d\n}\n",
-              speedup, total_violations + integ.tau_violations);
+  report.add("speedup_4t_over_1t", Json::num(speedup, 2))
+      .add("tau_deadline_violations", total_violations + integ.tau_violations)
+      .print();
 
   const bool batch_ok = !have_8t || batched_speedup_8t >= 2.0;
   const bool integ_ok = integ.successes == integ.sessions && integ.tau_violations == 0 &&

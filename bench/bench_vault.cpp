@@ -1,4 +1,4 @@
-// Million-session vault data-plane bench (DESIGN.md §13): authorize
+// Million-session vault data-plane bench (DESIGN.md §12): authorize
 // throughput, memory footprint, TTL purge rate, and lock-hold percentiles
 // of server::KeyVault across a sessions scale sweep, against a baseline arm
 // that faithfully re-states the pre-rebuild data plane — one mutex +
@@ -39,7 +39,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <list>
@@ -50,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "bench/percentile.hpp"
 #include "crypto/hmac.hpp"
 #include "runtime/cpu.hpp"
@@ -59,6 +59,7 @@
 
 using namespace wavekey;
 using namespace wavekey::server;
+using wavekey::bench::Json;
 
 namespace {
 
@@ -272,14 +273,16 @@ int main() {
   constexpr std::size_t kWindowBits = 128;
   const std::vector<std::size_t> thread_counts = {1, 4};
 
-  std::printf("{\n  \"bench\": \"vault\",\n  \"scale\": %.3f,\n  \"shards\": %zu,\n"
-              "  \"ops_per_thread\": %zu,\n  \"hardware_threads\": %u,\n"
-              "  \"sha_ni_active\": %s,\n  \"points\": [\n",
-              scale, kShards, ops_per_thread, std::thread::hardware_concurrency(),
-              runtime::cpu::sha_ni_active() ? "true" : "false");
+  Json report = Json::object();
+  report.add("bench", "vault")
+      .add("scale", Json::num(scale, 3))
+      .add("shards", kShards)
+      .add("ops_per_thread", ops_per_thread)
+      .add("hardware_threads", std::thread::hardware_concurrency())
+      .add("sha_ni_active", runtime::cpu::sha_ni_active());
 
   bool all_ok = true;
-  bool first_point = true;
+  Json points_json = Json::array();
   for (const std::size_t sessions : points) {
     // Headroom so the fill never LRU-evicts: per-shard capacity must cover
     // the binomial tail of the hash distribution, which for small
@@ -312,14 +315,13 @@ int main() {
         *std::max_element(thread_counts.begin(), thread_counts.end());
     const std::size_t touched = std::min(sessions, max_threads * ops_per_thread);
     std::uint64_t failures = 0;
-    std::printf("%s    {\"sessions\": %zu, \"install_per_sec\": %.0f,\n"
-                "     \"flatmap_bytes_per_session\": %.1f, "
-                "\"baseline_bytes_per_session_est\": %.1f,\n     \"threads\": [\n",
-                first_point ? "" : ",\n", sessions,
-                static_cast<double>(sessions) / fill_wall, flatmap_bytes, baseline_bytes);
-    first_point = false;
+    Json point = Json::object();
+    point.add("sessions", sessions)
+        .add("install_per_sec", Json::num(static_cast<double>(sessions) / fill_wall, 0))
+        .add("flatmap_bytes_per_session", Json::num(flatmap_bytes, 1))
+        .add("baseline_bytes_per_session_est", Json::num(baseline_bytes, 1));
 
-    bool first_tc = true;
+    Json threads_json = Json::array();
     for (const std::size_t threads : thread_counts) {
       const auto probes = build_probes(threads, ops_per_thread, touched);
       for (std::uint64_t id = 0; id < touched; ++id) vault.install(id, key_of(id), 1.0);
@@ -332,12 +334,13 @@ int main() {
           threads, probes,
           [&](const Probe& p) { return baseline.authorize(p.req, p.mac_input, 1.0); },
           &failures);
-      std::printf("%s      {\"threads\": %zu, \"flatmap_grants_per_sec\": %.0f, "
-                  "\"baseline_grants_per_sec\": %.0f, \"speedup\": %.2f}",
-                  first_tc ? "" : ",\n", threads, flat_rate, base_rate,
-                  flat_rate / base_rate);
-      first_tc = false;
+      threads_json.push(Json::object()
+                            .add("threads", threads)
+                            .add("flatmap_grants_per_sec", Json::num(flat_rate, 0))
+                            .add("baseline_grants_per_sec", Json::num(base_rate, 0))
+                            .add("speedup", Json::num(flat_rate / base_rate, 2)));
     }
+    point.add("threads", std::move(threads_json));
     if (failures != 0) all_ok = false;
 
     // Closed-form rejection ledger on the production arm. Every class has
@@ -417,22 +420,25 @@ int main() {
     const double purge_wall = std::chrono::duration<double>(Clock::now() - purge0).count();
     if (purged != purge_sessions) all_ok = false;
 
-    std::printf("\n     ],\n     \"ledger\": {\"probes_per_class\": %zu, "
-                "\"replay_rejected\": %llu, \"accepted_replays\": %llu, \"bad_mac\": %llu, "
-                "\"stale_epoch\": %llu, \"unknown\": %llu, \"expired\": %llu, "
-                "\"authorize_failures\": %llu, \"ledger_ok\": %s},\n"
-                "     \"purge\": {\"installed\": %zu, \"purged\": %zu, "
-                "\"purge_per_sec\": %.0f}}",
-                nprobe, static_cast<unsigned long long>(replay_rejected),
-                static_cast<unsigned long long>(replay_double_grants),
-                static_cast<unsigned long long>(bad_mac),
-                static_cast<unsigned long long>(stale),
-                static_cast<unsigned long long>(unknown),
-                static_cast<unsigned long long>(expired),
-                static_cast<unsigned long long>(failures), ledger_ok ? "true" : "false",
-                purge_sessions, purged,
-                static_cast<double>(purged) / std::max(purge_wall, 1e-9));
+    point.add("ledger", Json::object()
+                            .add("probes_per_class", nprobe)
+                            .add("replay_rejected", replay_rejected)
+                            .add("accepted_replays", replay_double_grants)
+                            .add("bad_mac", bad_mac)
+                            .add("stale_epoch", stale)
+                            .add("unknown", unknown)
+                            .add("expired", expired)
+                            .add("authorize_failures", failures)
+                            .add("ledger_ok", ledger_ok));
+    point.add("purge",
+              Json::object()
+                  .add("installed", purge_sessions)
+                  .add("purged", purged)
+                  .add("purge_per_sec",
+                       Json::num(static_cast<double>(purged) / std::max(purge_wall, 1e-9), 0)));
+    points_json.push(std::move(point));
   }
+  report.add("points", std::move(points_json));
 
   // Lock-hold percentiles at the largest point: the optimistic path's two
   // short critical sections vs the classic single HMAC-bearing one, same
@@ -469,13 +475,16 @@ int main() {
       cls_p99 = bench::nearest_rank(samples, 0.99);
     }
   }
-  std::printf("\n  ],\n  \"lock_hold\": {\"sessions\": %zu, \"ops\": %zu, "
-              "\"optimistic_p50_ns\": %.0f, \"optimistic_p99_ns\": %.0f, "
-              "\"classic_p50_ns\": %.0f, \"classic_p99_ns\": %.0f, "
-              "\"p99_ratio\": %.2f},\n",
-              lh_sessions, lh_ops, opt_p50, opt_p99, cls_p50, cls_p99,
-              cls_p99 / std::max(opt_p99, 1.0));
-
-  std::printf("  \"all_ok\": %s\n}\n", all_ok ? "true" : "false");
+  report
+      .add("lock_hold", Json::object()
+                            .add("sessions", lh_sessions)
+                            .add("ops", lh_ops)
+                            .add("optimistic_p50_ns", Json::num(opt_p50, 0))
+                            .add("optimistic_p99_ns", Json::num(opt_p99, 0))
+                            .add("classic_p50_ns", Json::num(cls_p50, 0))
+                            .add("classic_p99_ns", Json::num(cls_p99, 0))
+                            .add("p99_ratio", Json::num(cls_p99 / std::max(opt_p99, 1.0), 2)))
+      .add("all_ok", all_ok)
+      .print();
   return all_ok ? 0 : 1;
 }

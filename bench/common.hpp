@@ -1,13 +1,16 @@
 #pragma once
 
-// Shared infrastructure for the table/figure benches: one trained WaveKey
-// system cached on disk (first bench run trains it, the rest reuse it), the
-// evaluation cohort, and scaling of instance counts via WAVEKEY_BENCH_SCALE
-// (e.g. 0.25 for a quick smoke run, 4 for publication-grade statistics).
+// Shared infrastructure for the benches: one trained WaveKey system cached
+// on disk (first bench run trains it, the rest reuse it), the evaluation
+// cohort, scaling of instance counts via WAVEKEY_BENCH_SCALE (e.g. 0.25 for
+// a quick smoke run, 4 for publication-grade statistics), and the JSON
+// report writer of the gated benches.
 
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/model_store.hpp"
@@ -77,6 +80,93 @@ inline double key_establishment_rate(sim::ScenarioConfig base, int n, std::uint6
   }
   return 100.0 * static_cast<double>(ok) / static_cast<double>(n);
 }
+
+/// One value of a bench's JSON report, built as a tree and printed once.
+/// Scalars keep the text they print as, so every number states its own
+/// precision (Json::num) — there is deliberately no double constructor.
+/// Layout: a container holding only scalars prints on one line; any other
+/// prints one member per line, indented two spaces per level.
+class Json {
+ public:
+  static Json object() { return Json(Kind::kObject); }
+  static Json array() { return Json(Kind::kArray); }
+  /// `value` with `decimals` digits after the point (printf "%.*f").
+  static Json num(double value, int decimals) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+    return Json(Kind::kScalar, buf);
+  }
+
+  Json(bool value) : Json(Kind::kScalar, value ? "true" : "false") {}
+  Json(const char* text) : Json(Kind::kScalar, quote(text)) {}
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Json(T value) : Json(Kind::kScalar, std::to_string(value)) {}
+  Json(double) = delete;
+
+  /// Appends an object member (members print in insertion order).
+  Json& add(const char* key, Json value) {
+    members_.emplace_back(quote(key), std::move(value));
+    return *this;
+  }
+  /// Appends an array element.
+  Json& push(Json value) {
+    members_.emplace_back(std::string(), std::move(value));
+    return *this;
+  }
+
+  /// Prints the report and a trailing newline to stdout.
+  void print() const {
+    std::string text;
+    render(text, 0);
+    text += '\n';
+    std::fputs(text.c_str(), stdout);
+  }
+
+ private:
+  enum class Kind { kScalar, kObject, kArray };
+
+  explicit Json(Kind kind, std::string text = {}) : kind_(kind), text_(std::move(text)) {}
+
+  static std::string quote(const char* text) {
+    std::string out = "\"";
+    for (const char* c = text; *c != '\0'; ++c) {
+      if (*c == '"' || *c == '\\') out += '\\';
+      out += *c;
+    }
+    return out + '"';
+  }
+
+  void render(std::string& out, std::size_t indent) const {
+    if (kind_ == Kind::kScalar) {
+      out += text_;
+      return;
+    }
+    bool flat = true;
+    for (const auto& member : members_) flat = flat && member.second.kind_ == Kind::kScalar;
+    out += kind_ == Kind::kObject ? '{' : '[';
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      out += i == 0 ? "" : ",";
+      if (flat) {
+        out += i == 0 ? "" : " ";
+      } else {
+        out += '\n';
+        out.append(indent + 2, ' ');
+      }
+      if (kind_ == Kind::kObject) out += members_[i].first + ": ";
+      members_[i].second.render(out, indent + 2);
+    }
+    if (!flat) {
+      out += '\n';
+      out.append(indent, ' ');
+    }
+    out += kind_ == Kind::kObject ? '}' : ']';
+  }
+
+  Kind kind_;
+  std::string text_;
+  std::vector<std::pair<std::string, Json>> members_;
+};
 
 inline void print_header(const char* title, const char* paper_ref) {
   std::printf("\n================================================================\n");

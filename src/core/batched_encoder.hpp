@@ -1,6 +1,6 @@
 #pragma once
 
-// Cross-session batched encoder service (DESIGN.md §11): the deadline-aware
+// Cross-session batched encoder service (DESIGN.md §10): the deadline-aware
 // coalescing stage between core::PairingEngine workers and the IMU-En/RF-En
 // networks. Each worker thread submits its session's raw sensor windows
 // ([3, 200] IMU + [2, 400] RF) and blocks; the runtime::MicroBatcher

@@ -71,7 +71,7 @@ struct PairingEngine::Impl {
         // time and this session's 1/B share of the batched forwards are
         // charged into the virtual session clock — batching amortizes
         // compute but never hides latency from the tau budget (DESIGN.md
-        // §11.2).
+        // §10.2).
         const EncodedLatents enc =
             config.encoder_service->encode(job.request.imu_input, job.request.rf_input);
         mobile_latent = enc.mobile;

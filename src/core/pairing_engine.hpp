@@ -63,7 +63,7 @@ struct PairingEngineConfig {
   /// concurrently from every lane and must be thread-safe; keep it cheap
   /// (a vault insert), as its wall time counts against the lane.
   std::function<void(std::uint64_t id, const BitVec& key)> on_established;
-  /// Optional cross-session batched encoder stage (DESIGN.md §11). When set,
+  /// Optional cross-session batched encoder stage (DESIGN.md §10). When set,
   /// requests that carry raw sensor tensors are encoded through the shared
   /// deadline-aware coalescing service; the coalescing hold time plus this
   /// session's share of the batched forward is charged into the virtual

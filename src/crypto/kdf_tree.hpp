@@ -1,6 +1,6 @@
 #pragma once
 
-// Per-tag key diversification tree (DESIGN.md §14.1): labeled HKDF-SHA256
+// Per-tag key diversification tree (DESIGN.md §13.1): labeled HKDF-SHA256
 // derivation master → tenant → tag_uid → purpose, after the NTAG424
 // production pattern — every tag's keys are derived, never stored, and a
 // compromised tag key reveals nothing about its siblings (each hop is a full

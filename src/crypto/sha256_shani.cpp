@@ -1,4 +1,4 @@
-// SHA-NI SHA-256 compression (DESIGN.md §13.4): the x86 SHA extension runs
+// SHA-NI SHA-256 compression (DESIGN.md §12.4): the x86 SHA extension runs
 // two rounds per `sha256rnds2`, turning the 64-round scalar compression
 // (~490 ns/block on the reference host) into ~16 instructions of real work
 // (~40 ns/block). The message schedule is computed on the fly with

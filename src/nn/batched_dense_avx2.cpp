@@ -10,7 +10,7 @@
 // B <= 8 reads W exactly once (vs once per sample on the per-sample gemm_nt
 // path); X (K * n_pad floats) stays cache-resident across the whole sweep.
 // The per-element reduction is ascending-k FMA — a pure function of
-// (M, K, n_pad), matching the determinism contract of DESIGN.md §11.4.
+// (M, K, n_pad), matching the determinism contract of DESIGN.md §10.4.
 
 #include "nn/batched_infer.hpp"
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // Cross-session batched inference over an encoder-shaped Sequential stack
-// (DESIGN.md §11.3). The per-session layers run each sample as a batch of 1,
+// (DESIGN.md §10.3). The per-session layers run each sample as a batch of 1,
 // which leaves the 4×16 FMA GEMM microkernels far below saturation: im2col
 // packing is unamortized, ReLU materializes a training mask, and Dense
 // re-streams its [out, in] weight matrix per sample. BatchedInference
@@ -18,7 +18,7 @@
 //     broadcast-W kernel that streams the weight matrix exactly once per
 //     batch; BatchNorm applies running statistics row-wise.
 //
-// Determinism contract (DESIGN.md §11.4): forward() with B == 1 delegates
+// Determinism contract (DESIGN.md §10.4): forward() with B == 1 delegates
 // wholesale to Sequential::forward and is therefore bit-identical to the
 // serial path. For B > 1 every output element's reduction order is a pure
 // function of (architecture, B, SIMD tier) — independent of submission

@@ -2,7 +2,7 @@
 
 // im2col lowering shared by the Conv1D layer (per-sample forward/backward,
 // conv1d.cpp) and the cross-session batched inference path
-// (batched_infer.cpp, DESIGN.md §11.3). Header-only so both TUs inline the
+// (batched_infer.cpp, DESIGN.md §10.3). Header-only so both TUs inline the
 // same closed-form edge/interior split — the packing loops are
 // memcpy/strided-copy over the interior and touch the zero padding only in
 // the closed-form edge ranges, never via a per-MAC bounds check.

@@ -1,12 +1,12 @@
 #pragma once
 
 // N-thread coroutine executor with a hierarchical timer wheel — the one
-// executor type of the tree. Serving instances (AccessServer, ReaderGateway,
+// executor type of the tree. Serving instances (ReaderGateway,
 // PairingEngine) run request coroutines on it; the nn compute pool
 // (compute_pool.hpp) is an instance used for fork-join batch parallelism.
 //
-// The serving core (AccessServer, ReaderGateway) used to burn one OS thread
-// per in-flight request: workers parked in std::this_thread::sleep_for on
+// The serving front end used to burn one OS thread per in-flight
+// request: workers parked in std::this_thread::sleep_for on
 // emulated actuation I/O and on retry backoff, capping concurrency at the
 // worker-pool size. EventLoop replaces the park with a suspend: a request is
 // a Task<void> coroutine, `co_await loop.sleep_for(t)` files the suspended
@@ -55,7 +55,7 @@
 namespace wavekey::runtime {
 
 /// Monotonic counters mirrored under one lock — same snapshot discipline as
-/// AccessServerStats: `spawned == completed + active` holds on every read.
+/// GatewayStats: `spawned == completed + active` holds on every read.
 struct EventLoopStats {
   std::uint64_t spawned = 0;           ///< tasks accepted by spawn()
   std::uint64_t completed = 0;         ///< tasks that ran to completion

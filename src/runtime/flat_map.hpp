@@ -1,7 +1,7 @@
 #pragma once
 
 // runtime::FlatMap — SwissTable-style open-addressing hash map with an
-// intrusive, index-based LRU list (DESIGN.md §13 "Vault data plane").
+// intrusive, index-based LRU list (DESIGN.md §12 "Vault data plane").
 //
 // Built for the KeyVault shard hot path: one contiguous control-byte array
 // probed 16 (scalar) or 32 (AVX2) slots at a time through the

@@ -7,7 +7,7 @@
 // receives its own result plus the measured hold time, so every microsecond
 // an item spent waiting for co-batched work can be charged to that item's
 // own (virtual-clock) budget — batching amortizes compute, never hides
-// latency from the tau accounting (DESIGN.md §11.2).
+// latency from the tau accounting (DESIGN.md §10.2).
 //
 // Dispatch is leader/follower: no dedicated dispatcher thread exists. The
 // submitter that fills the batch — or the waiter whose deadline fires first

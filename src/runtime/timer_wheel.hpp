@@ -1,7 +1,7 @@
 #pragma once
 
 // runtime::TimerWheel — hierarchical timing wheel (Varghese & Lauck,
-// "Hashed and Hierarchical Timing Wheels", SOSP '87; DESIGN.md §12.1).
+// "Hashed and Hierarchical Timing Wheels", SOSP '87; DESIGN.md §11.1).
 //
 // One implementation serves both time bounds of the system: EventLoop files
 // suspended coroutines by their sleep_for deadline (100 us ticks on the

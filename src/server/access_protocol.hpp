@@ -1,6 +1,6 @@
 #pragma once
 
-// Post-establishment access protocol (DESIGN.md §9.2): once a WaveKey
+// Post-establishment access protocol (DESIGN.md §9.6): once a WaveKey
 // pairing session has produced a key, the mobile authenticates each access
 // request to the backend with an HMAC-SHA256 over (session id, epoch,
 // monotonic counter, nonce, payload) keyed by the vault key of the named

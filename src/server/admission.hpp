@@ -1,17 +1,18 @@
 #pragma once
 
-// Admission control for the access server (DESIGN.md §9.3). Two distinct
-// rejection mechanisms, surfaced as two distinct statuses:
+// Admission control for the serving front end (ReaderGateway with
+// GatewayConfig::admission set; DESIGN.md §9.1). Two distinct rejection
+// mechanisms, surfaced as two distinct statuses:
 //
 //  * per-tenant token buckets (kRateLimited) — a misbehaving tenant burns
 //    its own budget without crowding out the others; and
-//  * load shedding (kShed) — when the server's bounded admission queue is
-//    full, new requests are rejected *immediately* on the submit path
-//    instead of queueing into latency that would blow deadlines anyway.
+//  * load shedding (kShed) — when the gateway's admission window is full,
+//    new requests are rejected *immediately* on the submit path instead of
+//    queueing into latency that would blow deadlines anyway.
 //
 // Rejecting is O(1) and callback-synchronous, so overload degrades into
 // cheap typed errors rather than unbounded queueing. (Blocking backpressure
-// is the pairing engine's policy, not the access server's.)
+// is the pairing engine's policy, and the gateway's without admission.)
 //
 // Time is caller-supplied seconds, like the vault.
 //

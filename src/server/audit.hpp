@@ -1,6 +1,6 @@
 #pragma once
 
-// Append-only, hash-chained audit log (DESIGN.md §14.3): every grant
+// Append-only, hash-chained audit log (DESIGN.md §13.3): every grant
 // issuance, offline verification verdict, rotation, revocation, and
 // vault-side access decision is serialized into a record and folded into a
 // per-shard SHA-256 hash chain

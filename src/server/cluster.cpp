@@ -286,14 +286,18 @@ VaultCluster::~VaultCluster() = default;
 double VaultCluster::now_s() const { return impl_->now_s(); }
 
 bool VaultCluster::install(std::uint64_t session_id, std::span<const std::uint8_t> key) {
+  return install(session_id, key, impl_->now_s());
+}
+
+bool VaultCluster::install(std::uint64_t session_id, std::span<const std::uint8_t> key,
+                           double at_s) {
   std::shared_lock<std::shared_mutex> lock(impl_->topology);
   const PartitionOwners owners =
       impl_->map.owners(partition_of(session_id, impl_->map.partitions()));
   if (!impl_->up(owners.primary)) return false;
-  const double now = impl_->now_s();
-  if (!impl_->nodes[owners.primary]->vault->install(session_id, key, now)) return false;
+  if (!impl_->nodes[owners.primary]->vault->install(session_id, key, at_s)) return false;
   if (impl_->up(owners.replica))
-    impl_->nodes[owners.replica]->vault->install(session_id, key, now);
+    impl_->nodes[owners.replica]->vault->install(session_id, key, at_s);
   return true;
 }
 
@@ -305,6 +309,27 @@ bool VaultCluster::revoke(std::uint64_t session_id) {
   if (impl_->up(owners.primary)) revoked = impl_->nodes[owners.primary]->vault->revoke(session_id);
   if (impl_->up(owners.replica)) impl_->nodes[owners.replica]->vault->revoke(session_id);
   return revoked;
+}
+
+std::optional<std::uint32_t> VaultCluster::rotate(std::uint64_t session_id) {
+  std::shared_lock<std::shared_mutex> lock(impl_->topology);
+  const PartitionOwners owners =
+      impl_->map.owners(partition_of(session_id, impl_->map.partitions()));
+  if (!impl_->up(owners.primary)) return std::nullopt;
+  const double now = impl_->now_s();
+  const auto epoch = impl_->nodes[owners.primary]->vault->rotate(session_id, now);
+  if (epoch && impl_->up(owners.replica))
+    impl_->nodes[owners.replica]->vault->rotate(session_id, now);
+  return epoch;
+}
+
+std::size_t VaultCluster::purge_expired() {
+  std::shared_lock<std::shared_mutex> lock(impl_->topology);
+  const double now = impl_->now_s();
+  std::size_t purged = 0;
+  for (const auto& node : impl_->nodes)
+    if (node->state == NodeState::kUp) purged += node->vault->purge_expired(now);
+  return purged;
 }
 
 ClusterResponse VaultCluster::execute(const ClusterRequest& request) {

@@ -1,6 +1,6 @@
 #pragma once
 
-// Partitioned vault cluster (DESIGN.md §10): the distributed half of the
+// Partitioned vault cluster (DESIGN.md §9.4): the distributed half of the
 // backend. M VaultNodes each hold a KeyVault; sessions hash onto fixed
 // partitions (membership.hpp) and every partition has a primary plus one
 // replica. The cluster keeps three invariants across node crashes, graceful
@@ -24,9 +24,10 @@
 // and handed to their new owners atomically, so a drain is invisible to
 // clients (no unavailability window at all).
 //
-// Thread-safety: execute/install/revoke take the topology lock shared (the
-// per-shard vault locks provide the real parallelism); crash/drain/fail_over
-// take it unique, so a topology change is atomic with respect to serving.
+// Thread-safety: execute/install/revoke/rotate/purge_expired take the
+// topology lock shared (the per-shard vault locks provide the real
+// parallelism); crash/drain/fail_over take it unique, so a topology change
+// is atomic with respect to serving.
 
 #include <cstdint>
 #include <memory>
@@ -169,9 +170,24 @@ class VaultCluster {
   /// the key has the wrong width or the primary is down (install is not
   /// retried internally — the pairing tier owns that policy).
   bool install(std::uint64_t session_id, std::span<const std::uint8_t> key);
+  /// Same, installed at `at_s` on the cluster clock (now_s()): a time in
+  /// the past backdates the TTL.
+  bool install(std::uint64_t session_id, std::span<const std::uint8_t> key, double at_s);
 
   /// Revokes on every live owner of the session's partition.
   bool revoke(std::uint64_t session_id);
+
+  /// Rotates the session to its next epoch on every live owner of its
+  /// partition (each derives the same epoch key), so a promoted replica
+  /// rejects the old epoch exactly like the primary. Returns the primary's
+  /// new epoch; nullopt if the primary is down or the session is not live.
+  std::optional<std::uint32_t> rotate(std::uint64_t session_id);
+
+  /// Sweeps the TTL wheels of every live node's vault at now_s(), reclaiming
+  /// expired sessions no request touches again. Returns the entries
+  /// reclaimed across nodes (a primary and a replica copy count as two).
+  /// Caller-driven: the cluster runs no sweep of its own.
+  std::size_t purge_expired();
 
   /// Serves one gateway envelope: route by partition, dedup by request id,
   /// authorize on the primary, mirror the accepted counter + cached response

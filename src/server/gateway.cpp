@@ -21,6 +21,16 @@ using protocol::FaultyChannelConfig;
 using protocol::InFlightMessage;
 using protocol::MessageType;
 using protocol::WireError;
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t) {
+  return std::chrono::duration<double>(Clock::now() - t).count();
+}
+
+/// Per-request wire telemetry, folded into the stats at resolution.
+struct WireCounts {
+  std::uint64_t frames = 0, corrupt = 0, late = 0;
+};
 
 struct Job {
   std::uint64_t request_id = 0;
@@ -36,6 +46,9 @@ struct ReaderGateway::Impl {
   GatewayConfig config;
   std::atomic<std::uint64_t> next_seq{0};
   std::atomic<bool> finished{false};
+  std::optional<TenantLimiter> limiter;  ///< set iff config.admission
+  /// Admission window: admitted-but-unresolved requests (admission only).
+  std::atomic<std::size_t> admitted{0};
   mutable std::mutex stats_mutex;
   GatewayStats counters;
   // Recycled frame buffers: after warm-up the serialize -> seal -> transmit
@@ -50,6 +63,7 @@ struct ReaderGateway::Impl {
         config(cfg),
         loop(cfg.workers < 1 ? 1 : cfg.workers),
         queue(loop, cfg.queue_capacity) {
+    if (config.admission) limiter.emplace(*config.admission);
     if (config.max_attempts < 1) config.max_attempts = 1;
     if (config.workers < 1) config.workers = 1;
     for (std::size_t w = 0; w < config.workers; ++w) loop.spawn(lane(w));
@@ -104,6 +118,7 @@ struct ReaderGateway::Impl {
   /// the capped exponential backoff between attempts is a co_await into the
   /// timer wheel, so a backing-off request holds no lane thread.
   runtime::Task<void> run_job(Job job, FaultyChannel& channel) {
+    const Clock::time_point picked = Clock::now();
     GatewayResult result;
     result.request_id = job.request_id;
 
@@ -111,7 +126,7 @@ struct ReaderGateway::Impl {
     bool saw_response = false;
     AccessStatus last_status = AccessStatus::kRetryExhausted;
     Bytes last_grant;
-    std::uint64_t frames = 0, corrupt = 0, late = 0;
+    WireCounts wire;
 
     for (std::uint32_t attempt = 0; attempt < config.max_attempts; ++attempt) {
       result.attempts = attempt + 1;
@@ -122,25 +137,26 @@ struct ReaderGateway::Impl {
       envelope.inner = std::move(job.inner);  // borrowed for the serialize
 
       const double deadline = clock + config.attempt_timeout_s;
-      std::vector<Delivery> copies = transmit_framed(channel, &envelope, nullptr, clock, frames);
+      std::vector<Delivery> copies =
+          transmit_framed(channel, &envelope, nullptr, clock, wire.frames);
       job.inner = std::move(envelope.inner);  // returned after the serialize
 
       std::optional<ClusterResponse> response;
       for (Delivery& copy : copies) {
         if (copy.arrival_s > deadline) {
-          ++late;
+          ++wire.late;
           continue;
         }
         const auto payload = unframe_view(copy.payload);
         if (!payload) {
-          ++corrupt;
+          ++wire.corrupt;
           continue;
         }
         ClusterRequestView arrived;
         try {
           arrived = ClusterRequestView::parse(*payload);
         } catch (const WireError&) {
-          ++corrupt;
+          ++wire.corrupt;
           continue;
         }
         // Duplicated copies re-execute harmlessly: the cluster's idempotency
@@ -148,14 +164,14 @@ struct ReaderGateway::Impl {
         ClusterResponse server_answer = cluster.execute(arrived);
 
         for (Delivery& back :
-             transmit_framed(channel, nullptr, &server_answer, copy.arrival_s, frames)) {
+             transmit_framed(channel, nullptr, &server_answer, copy.arrival_s, wire.frames)) {
           if (back.arrival_s > deadline) {
-            ++late;
+            ++wire.late;
             continue;
           }
           const auto reply_payload = unframe_view(back.payload);
           if (!reply_payload) {
-            ++corrupt;
+            ++wire.corrupt;
             continue;
           }
           try {
@@ -171,7 +187,7 @@ struct ReaderGateway::Impl {
               break;
             }
           } catch (const WireError&) {
-            ++corrupt;
+            ++wire.corrupt;
           }
         }
         if (response) break;
@@ -216,21 +232,62 @@ struct ReaderGateway::Impl {
       result.status = config.offline_verifier->verify(job.inner, offline_clock);
       result.offline = true;
     }
+    result.verify_s = seconds_since(picked);
 
+    // Emulated actuation: the grant parks in its own coroutine so this lane
+    // returns to the queue at once. The spawn cannot be refused: finish()
+    // closes the loop only after drain() has seen every lane complete.
+    if (config.io_wait_s > 0.0 && result.status == AccessStatus::kGranted) {
+      loop.spawn(actuate(std::move(result), wire, std::move(job.callback)));
+      co_return;
+    }
+    resolve(result, wire, job.callback, /*parked=*/false);
+  }
+
+  runtime::Task<void> actuate(GatewayResult result, WireCounts wire, Callback callback) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex);
+      counters.suspended += 1;
+      counters.peak_suspended = std::max(counters.peak_suspended, counters.suspended);
+    }
+    const Clock::time_point parked = Clock::now();
+    co_await loop.sleep_for(config.io_wait_s);
+    result.suspended_s = seconds_since(parked);
+    resolve(result, wire, callback, /*parked=*/true);
+  }
+
+  /// Counts the final outcome (one lock, so resolved == sum(outcomes) in
+  /// every snapshot), releases the admission slot, runs the callback.
+  void resolve(const GatewayResult& result, const WireCounts& wire, const Callback& callback,
+               bool parked) {
     {
       std::lock_guard<std::mutex> lock(stats_mutex);
       counters.resolved += 1;
+      if (parked) counters.suspended -= 1;
       counters.attempts += result.attempts;
-      counters.frames_sent += frames;
-      counters.corrupt_dropped += corrupt;
-      counters.timed_out_copies += late;
+      counters.frames_sent += wire.frames;
+      counters.corrupt_dropped += wire.corrupt;
+      counters.timed_out_copies += wire.late;
       counters.outcomes[static_cast<std::size_t>(result.status)] += 1;
       if (result.offline) {
         counters.offline_verified += 1;
         if (result.status == AccessStatus::kGranted) counters.offline_granted += 1;
       }
     }
-    if (job.callback) job.callback(result);
+    if (limiter) admitted.fetch_sub(1, std::memory_order_release);
+    if (callback) callback(result);
+  }
+
+  /// Admission for one request on the submit path: kGranted means admitted
+  /// (window slot taken), anything else is the inline reject status.
+  AccessStatus admit(std::uint64_t tenant_id) {
+    // A rate-limited tenant must not consume window space.
+    if (!limiter->admit(tenant_id, cluster.now_s())) return AccessStatus::kRateLimited;
+    if (admitted.fetch_add(1, std::memory_order_acquire) >= config.queue_capacity) {
+      admitted.fetch_sub(1, std::memory_order_release);
+      return AccessStatus::kShed;
+    }
+    return AccessStatus::kGranted;
   }
 };
 
@@ -246,17 +303,39 @@ std::optional<std::uint64_t> ReaderGateway::submit(std::uint64_t tenant_id,
   Job job;
   job.request_id = (std::uint64_t{impl_->config.gateway_id} << 48) |
                    (impl_->next_seq.fetch_add(1, std::memory_order_relaxed) & 0xFFFFFFFFFFFFull);
+  const std::uint64_t id = job.request_id;
+  if (impl_->limiter) {
+    const AccessStatus admission = impl_->admit(tenant_id);
+    if (admission != AccessStatus::kGranted) {
+      // Typed reject, resolved inline: nothing was sent, nothing is parked.
+      {
+        std::lock_guard<std::mutex> lock(impl_->stats_mutex);
+        impl_->counters.submitted += 1;
+        impl_->counters.resolved += 1;
+        impl_->counters.outcomes[static_cast<std::size_t>(admission)] += 1;
+      }
+      GatewayResult result;  // attempts = 0: never sent
+      result.request_id = id;
+      result.status = admission;
+      if (callback) callback(result);
+      return id;
+    }
+  }
   job.tenant_id = tenant_id;
   job.inner.assign(request_wire.begin(), request_wire.end());
   job.callback = std::move(callback);
-  const std::uint64_t id = job.request_id;
   // Count before push so submitted >= resolved at every instant.
   {
     std::lock_guard<std::mutex> lock(impl_->stats_mutex);
-    impl_->counters.submitted += 1;
+    GatewayStats& c = impl_->counters;
+    c.submitted += 1;
+    c.peak_in_flight = std::max(c.peak_in_flight, c.submitted - c.resolved);
   }
+  // With admission, the window holds every queued job and this one fits it,
+  // so the queue (same capacity) has room: push never blocks.
   if (!impl_->queue.push(std::move(job))) {
     // Lost the race with finish(): the queue is closed, nothing was enqueued.
+    if (impl_->limiter) impl_->admitted.fetch_sub(1, std::memory_order_release);
     std::lock_guard<std::mutex> lock(impl_->stats_mutex);
     impl_->counters.submitted -= 1;
     return std::nullopt;
@@ -267,10 +346,12 @@ std::optional<std::uint64_t> ReaderGateway::submit(std::uint64_t tenant_id,
 void ReaderGateway::finish() {
   impl_->finished.store(true, std::memory_order_release);
   // close() hands a nullopt to every parked lane immediately — shutdown is
-  // notify-driven, there is no polling interval to wait out.
+  // notify-driven, there is no polling interval to wait out. The loop closes
+  // only after the drain: lanes still spawn actuations while they drain the
+  // queue, and a lane spawns before it finishes, so drain() sees them all.
   impl_->queue.close();
-  impl_->loop.close();
   impl_->loop.drain();
+  impl_->loop.close();
 }
 
 GatewayStats ReaderGateway::stats() const {

@@ -1,10 +1,14 @@
 #pragma once
 
-// Reader gateway (DESIGN.md §10.2): the front tier of the distributed
-// backend. RFID readers hand access requests to a gateway; the gateway
+// Reader gateway (DESIGN.md §9): the serving front end of the backend.
+// RFID readers hand access requests to a gateway; the gateway admits them,
 // multiplexes them over a CRC-framed WAN transport onto the vault cluster
-// and owns the retry policy:
+// (one node is a single-server deployment) and owns the retry policy:
 //
+//  * optional tenant admission (GatewayConfig::admission): per-tenant token
+//    buckets (kRateLimited) and an admission window over admitted-but-
+//    unresolved requests (kShed), both decided inline on the submit path —
+//    with admission set, submit() never blocks;
 //  * every request gets a cluster-unique request id up front — the
 //    idempotency key. Retransmissions reuse it, so a retry of a request
 //    whose *response* was lost is answered from the cluster's idempotency
@@ -18,12 +22,17 @@
 //  * the retry budget is finite, so every submitted request resolves with
 //    a typed status: the cluster's answer, kUnavailable if the last thing
 //    the gateway heard was "owner down", or kRetryExhausted if it never
-//    heard anything at all. No request hangs, ever.
+//    heard anything at all. No request hangs, ever;
+//  * optional emulated actuation I/O (GatewayConfig::io_wait_s): a granted
+//    resolution parks in the event loop's timer wheel before its callback
+//    runs, holding no lane, so parked grants are bounded by the admission
+//    window, not by the lane count.
 //
 // Thread-safety: submit() may be called from any thread; workers own their
 // FaultyChannel instances (externally-synchronized PRNGs, one per worker).
-// finish() closes the intake, drains the queue, and joins the workers —
-// after it returns, every accepted request has had its callback invoked.
+// finish() closes the intake, drains the queue and every parked actuation,
+// and joins the workers — after it returns, every accepted request has had
+// its callback invoked.
 
 #include <array>
 #include <cstdint>
@@ -34,6 +43,7 @@
 
 #include "protocol/faulty_channel.hpp"
 #include "server/access_protocol.hpp"
+#include "server/admission.hpp"
 #include "server/cluster.hpp"
 #include "server/grants.hpp"
 
@@ -42,6 +52,7 @@ namespace wavekey::server {
 struct GatewayConfig {
   std::uint32_t gateway_id = 0;  ///< high bits of every request id it mints
   std::size_t workers = 2;
+  /// Job-queue bound; with `admission` set, also the admission window.
   std::size_t queue_capacity = 256;
   std::uint32_t max_attempts = 4;     ///< >= 1; total tries per request
   double attempt_timeout_s = 0.050;   ///< virtual per-attempt delivery deadline
@@ -59,6 +70,16 @@ struct GatewayConfig {
   /// Virtual clock feeding the verifier's expiry checks (seconds). Required
   /// when offline_verifier is set; the test/bench harness advances it.
   std::function<double()> offline_now;
+  /// Tenant admission. Set: submit() never blocks — an empty tenant bucket
+  /// resolves kRateLimited, and a request arriving while queue_capacity
+  /// requests are admitted but unresolved (parked actuations included)
+  /// resolves kShed, both inline on the caller thread with attempts = 0.
+  /// Unset: submit() blocks while the queue is full (backpressure).
+  std::optional<AdmissionConfig> admission;
+  /// Emulated actuation I/O per granted request (door strike / reader
+  /// round-trip), online or offline: the resolution parks this long in the
+  /// timer wheel before the callback runs. Zero disables it.
+  double io_wait_s = 0.0;
 };
 
 /// Final resolution of one submitted request.
@@ -68,14 +89,20 @@ struct GatewayResult {
   std::uint32_t attempts = 0;  ///< attempts actually spent (1..max_attempts)
   Bytes grant_wire;            ///< serialized AccessGrant ({} if none arrived)
   bool offline = false;        ///< status came from the OfflineVerifier fallback
+  double verify_s = 0.0;     ///< lane pick-up -> typed resolution (0 if rejected inline)
+  double suspended_s = 0.0;  ///< parked on actuation I/O (io_wait_s)
 };
 
-/// Monotonic counters; snapshot under one lock so totals are consistent.
-/// Invariant (asserted in tests): submitted == resolved after finish(), and
-/// resolved == sum(outcomes).
+/// Counters, snapshot under one lock so every snapshot is consistent, even
+/// while submitters and lanes race (asserted in tests): resolved ==
+/// sum(outcomes), suspended <= submitted - resolved (the in-flight count),
+/// and submitted == resolved after finish().
 struct GatewayStats {
   std::uint64_t submitted = 0;
   std::uint64_t resolved = 0;
+  std::uint64_t peak_in_flight = 0;  ///< high-water mark of submitted - resolved
+  std::uint64_t suspended = 0;       ///< granted resolutions parked on actuation now
+  std::uint64_t peak_suspended = 0;  ///< high-water mark of suspended
   std::uint64_t attempts = 0;         ///< total attempts across all requests
   std::uint64_t frames_sent = 0;      ///< request + response frames offered
   std::uint64_t corrupt_dropped = 0;  ///< copies discarded by CRC/parse
@@ -102,15 +129,17 @@ class ReaderGateway {
   ReaderGateway(const ReaderGateway&) = delete;
   ReaderGateway& operator=(const ReaderGateway&) = delete;
 
-  /// Enqueues one serialized AccessRequest for transport. Blocks while the
-  /// queue is full (backpressure). Returns the minted request id, or nullopt
-  /// if the gateway is finished. `callback` runs exactly once, on a worker
-  /// thread, with the typed final result.
+  /// Enqueues one serialized AccessRequest for transport. Without admission
+  /// it blocks while the queue is full (backpressure); with admission it
+  /// never blocks. Returns the minted request id, or nullopt if the gateway
+  /// is finished. `callback` runs exactly once with the typed final result:
+  /// on a worker thread, or inline for an admission reject.
   std::optional<std::uint64_t> submit(std::uint64_t tenant_id,
                                       std::span<const std::uint8_t> request_wire,
                                       Callback callback);
 
-  /// Closes intake, drains every queued request, joins workers. Idempotent.
+  /// Closes intake, drains every queued request and parked actuation, joins
+  /// workers. Idempotent.
   void finish();
 
   GatewayStats stats() const;

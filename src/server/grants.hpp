@@ -1,6 +1,6 @@
 #pragma once
 
-// Offline-grant subsystem (DESIGN.md §14): signed capabilities an actuator
+// Offline-grant subsystem (DESIGN.md §13): signed capabilities an actuator
 // can verify with NO vault connectivity.
 //
 // The vault-side GrantIssuer mints compact GrantTokens under each tag's

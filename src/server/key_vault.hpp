@@ -1,6 +1,6 @@
 #pragma once
 
-// Sharded session-key vault (DESIGN.md §9.1, data plane rebuilt in §13):
+// Sharded session-key vault (DESIGN.md §9.5, data plane rebuilt in §12):
 // the backend's store of keys established by pairing. Sessions hash onto N
 // independently-locked shards; each shard is a runtime::FlatMap — a
 // SwissTable-style open-addressing table with an intrusive index-based LRU
@@ -30,7 +30,7 @@
 // section path (used by the differential tests and as the fallback).
 //
 // Time is caller-supplied (seconds on any monotonic axis): tests drive the
-// TTL boundary deterministically, the AccessServer feeds its steady-clock.
+// TTL boundary deterministically, the VaultCluster feeds its steady clock.
 //
 // Thread-safety: every public method may be called concurrently from any
 // thread; each takes one shard mutex at a time (stats use atomics).
@@ -138,8 +138,8 @@ class KeyVault {
   /// passed by `now_s` — including sessions that were never touched after
   /// expiry, which the lazy on-access reap alone would leak until LRU
   /// pressure. O(expired). Returns the number reclaimed (counted in both
-  /// ttl_evictions and purged_expired). Called from the AccessServer's
-  /// submit-path tick and from bench_vault.
+  /// ttl_evictions and purged_expired). Called by VaultCluster::
+  /// purge_expired (caller-driven) and from bench_vault.
   std::size_t purge_expired(double now_s);
 
   /// Trusted intra-cluster replication: marks `counter` seen in the session's

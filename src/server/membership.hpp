@@ -1,6 +1,6 @@
 #pragma once
 
-// Cluster membership and partition placement (DESIGN.md §10.1): sessions
+// Cluster membership and partition placement (DESIGN.md §9.3): sessions
 // hash onto a fixed set of partitions, and partitions are placed on vault
 // nodes by consistent hashing — each node projects `vnodes` virtual points
 // onto a ring, a partition's primary is the successor of the partition's

@@ -1,6 +1,6 @@
 #pragma once
 
-// Per-session anti-replay window (DESIGN.md §9.2): a sliding bitmap over
+// Per-session anti-replay window (DESIGN.md §9.6): a sliding bitmap over
 // the request counter, IPsec/DTLS style. The window tracks the highest
 // counter accepted so far plus a `bits`-wide bitmap of recently-seen
 // counters below it, so modestly out-of-order arrivals are admitted exactly

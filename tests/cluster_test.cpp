@@ -1,10 +1,13 @@
-// Tests of the distributed backend tier (DESIGN.md §10): consistent-hash
+// Tests of the distributed backend tier (DESIGN.md §9): consistent-hash
 // partition placement (minimal movement across node removal), the CRC'd
 // gateway wire envelopes (malformed-input fuzz: typed errors only, never a
 // grant), VaultCluster failure semantics — crash leaves a typed
 // kUnavailable window and failover must not reopen the replay surface;
 // drain hands partitions off with no client-visible gap — and the
-// ReaderGateway retry loop (idempotent retries, every request resolves).
+// ReaderGateway front end: the retry loop (idempotent retries, every
+// request resolves), tenant admission (typed inline rate-limit and shed
+// rejects), parked actuation, one-lock stats, and the pairing-engine →
+// vault handoff.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/config.hpp"
+#include "core/pairing_engine.hpp"
+#include "core/seed_quantizer.hpp"
 #include "crypto/drbg.hpp"
 #include "numeric/rng.hpp"
 #include "server/cluster.hpp"
@@ -434,6 +440,71 @@ TEST(VaultClusterTest, RevocationSurvivesFailover) {
             AccessStatus::kRevoked);
 }
 
+TEST(VaultClusterTest, RotateIsMirroredToTheReplica) {
+  ClusterConfig config;
+  config.nodes = 3;
+  VaultCluster cluster(config);
+  crypto::Drbg drbg(87);
+  const SessionKey key = random_key(drbg);
+  ASSERT_TRUE(cluster.install(23, key));
+  ASSERT_EQ(cluster.rotate(23), std::optional<std::uint32_t>(1));
+  EXPECT_EQ(cluster.execute(envelope(950, request_wire(23, 1, key))).status,
+            AccessStatus::kStaleEpoch);
+
+  cluster.crash(cluster.owners_of(23).primary);
+  cluster.fail_over();
+  // The replica rotated with the primary: after promotion an epoch-0 MAC is
+  // still stale, and the epoch-1 key (derived in lockstep) grants.
+  EXPECT_EQ(cluster.execute(envelope(951, request_wire(23, 2, key))).status,
+            AccessStatus::kStaleEpoch);
+  const SessionKey rotated = derive_rotated_key(key, 23, 1);
+  const Bytes fresh = make_access_request(23, 1, 3, nonce_from(3), {}, rotated).serialize();
+  EXPECT_EQ(cluster.execute(envelope(952, fresh)).status, AccessStatus::kGranted);
+  // A down primary cannot rotate.
+  cluster.crash(cluster.owners_of(23).primary);
+  EXPECT_FALSE(cluster.rotate(23).has_value());
+}
+
+TEST(VaultClusterTest, PurgeExpiredReclaimsUntouchedSessionsOnEveryOwner) {
+  // Sessions that expire and are never addressed again must still be
+  // reclaimed. purge_expired() sweeps every live node, so both the primary
+  // and the replica copy of an expired session go; live sessions stay.
+  ClusterConfig config;
+  config.nodes = 3;
+  config.vault.ttl_s = 3600.0;
+  VaultCluster cluster(config);
+  crypto::Drbg drbg(88);
+  constexpr std::uint64_t kExpired = 50;
+  constexpr std::uint64_t kLive = 8;
+  for (std::uint64_t sid = 100; sid < 100 + kExpired; ++sid) {
+    // Backdated install: already past its TTL, and never touched again.
+    ASSERT_TRUE(cluster.install(sid, random_key(drbg), cluster.now_s() - config.vault.ttl_s - 1.0));
+  }
+  std::vector<SessionKey> keys;
+  for (std::uint64_t sid = 0; sid < kLive; ++sid) {
+    keys.push_back(random_key(drbg));
+    ASSERT_TRUE(cluster.install(sid, keys.back()));
+  }
+
+  EXPECT_EQ(cluster.purge_expired(), 2 * kExpired);  // primary + replica copies
+  EXPECT_EQ(cluster.purge_expired(), 0u);            // nothing left to reclaim
+  std::uint64_t request_id = 1000;
+  for (std::uint64_t sid = 0; sid < kLive; ++sid)
+    EXPECT_EQ(cluster.execute(envelope(++request_id, request_wire(sid, 1, keys[sid]))).status,
+              AccessStatus::kGranted);
+
+  // Reclaimed, not merely expired: an unpurged copy would answer kExpired.
+  const SessionKey stale_key = random_key(drbg);
+  EXPECT_EQ(cluster.execute(envelope(++request_id, request_wire(100, 1, stale_key))).status,
+            AccessStatus::kUnknownSession);
+  // The replica copy went too: after the primary dies, the promoted replica
+  // does not know the session either.
+  cluster.crash(cluster.owners_of(100).primary);
+  cluster.fail_over();
+  EXPECT_EQ(cluster.execute(envelope(++request_id, request_wire(100, 2, stale_key))).status,
+            AccessStatus::kUnknownSession);
+}
+
 TEST(VaultClusterTest, DrainHandsOffWithNoClientVisibleGap) {
   ClusterConfig config;
   config.nodes = 4;
@@ -776,4 +847,359 @@ TEST(ReaderGatewayTest, LossyChannelRetriesStayIdempotent) {
   EXPECT_LE(cs.vault_grants, kRequests);
   EXPECT_GE(cs.vault_grants, granted);
   EXPECT_LE(cs.vault_grants - granted, exhausted);
+}
+
+// --- ReaderGateway as the serving front end: admission, actuation --------
+
+namespace {
+
+std::uint64_t outcome(const GatewayStats& stats, AccessStatus status) {
+  return stats.outcomes[static_cast<std::size_t>(status)];
+}
+
+std::uint64_t outcome_sum(const GatewayStats& stats) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t n : stats.outcomes) sum += n;
+  return sum;
+}
+
+/// A front end with tenant admission, as a single-server deployment runs it.
+GatewayConfig admitting_config(std::size_t workers, double burst) {
+  GatewayConfig config;
+  config.workers = workers;
+  config.admission = AdmissionConfig{};
+  config.admission->burst = burst;
+  return config;
+}
+
+}  // namespace
+
+TEST(ReaderGatewayTest, GrantsValidRequestsAndMacsTheGrant) {
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(41);
+  const SessionKey key = random_key(drbg);
+  ASSERT_TRUE(cluster.install(1, key));
+
+  ResultLog log;
+  ReaderGateway gateway(cluster, admitting_config(2, 32.0));
+  for (std::uint64_t c = 1; c <= 8; ++c)
+    ASSERT_TRUE(gateway.submit(/*tenant=*/1, request_wire(1, c, key), log.recorder()));
+  gateway.finish();
+
+  ASSERT_EQ(log.results.size(), 8u);
+  for (const GatewayResult& result : log.results) {
+    EXPECT_EQ(result.status, AccessStatus::kGranted);
+    const AccessGrant grant = AccessGrant::parse(result.grant_wire);
+    EXPECT_EQ(grant.status, AccessStatus::kGranted);
+    EXPECT_EQ(grant.session_id, 1u);
+    EXPECT_TRUE(verify_access_grant(grant, key));
+  }
+  EXPECT_EQ(outcome(gateway.stats(), AccessStatus::kGranted), 8u);
+}
+
+TEST(ReaderGatewayTest, MalformedAndUnknownAreTyped) {
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  VaultCluster cluster(cluster_config);
+  ResultLog log;
+  ReaderGateway gateway(cluster, admitting_config(2, 32.0));
+  const auto junk = gateway.submit(1, Bytes{0xFF, 0x00, 0x01}, log.recorder());
+  crypto::Drbg drbg(42);
+  const auto unknown = gateway.submit(1, request_wire(99, 1, random_key(drbg)), log.recorder());
+  ASSERT_TRUE(junk && unknown);
+  gateway.finish();
+
+  ASSERT_EQ(log.results.size(), 2u);
+  for (const GatewayResult& result : log.results) {
+    EXPECT_EQ(result.status, result.request_id == *junk ? AccessStatus::kMalformed
+                                                        : AccessStatus::kUnknownSession);
+    EXPECT_EQ(result.attempts, 1u);  // typed answers, never retried
+  }
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(outcome(stats, AccessStatus::kMalformed), 1u);
+  EXPECT_EQ(outcome(stats, AccessStatus::kUnknownSession), 1u);
+}
+
+TEST(ReaderGatewayTest, RateLimitingIsPerTenantAndTyped) {
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(43);
+  const SessionKey key = random_key(drbg);
+  ASSERT_TRUE(cluster.install(1, key));
+
+  GatewayConfig config = admitting_config(2, 2.0);
+  config.admission->rate_per_s = 1e-6;  // effectively no refill in-test
+  ResultLog log;
+  ReaderGateway gateway(cluster, config);
+  for (std::uint64_t c = 1; c <= 5; ++c) {
+    ASSERT_TRUE(gateway.submit(/*tenant=*/7, request_wire(1, c, key), log.recorder()));
+    // A reject resolves inline: its callback ran before submit returned.
+    EXPECT_EQ(log.count(AccessStatus::kRateLimited), c > 2 ? c - 2 : 0);
+  }
+  // Tenant 7's empty bucket does not touch tenant 8's.
+  ASSERT_TRUE(gateway.submit(/*tenant=*/8, request_wire(1, 6, key), log.recorder()));
+  gateway.finish();
+
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(outcome(stats, AccessStatus::kGranted), 3u);
+  EXPECT_EQ(outcome(stats, AccessStatus::kRateLimited), 3u);
+  EXPECT_EQ(log.count(AccessStatus::kRateLimited), 3u);
+  for (const GatewayResult& result : log.results) {
+    if (result.status != AccessStatus::kRateLimited) continue;
+    EXPECT_EQ(result.attempts, 0u);  // never sent
+    EXPECT_EQ(result.verify_s, 0.0);
+  }
+  EXPECT_EQ(stats.attempts, 3u);  // only the admitted requests were sent
+}
+
+TEST(ReaderGatewayTest, OverloadShedsInsteadOfBlocking) {
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(44);
+  const SessionKey key = random_key(drbg);
+  ASSERT_TRUE(cluster.install(1, key));
+
+  GatewayConfig config = admitting_config(1, 1000.0);
+  config.queue_capacity = 1;
+  config.io_wait_s = 0.05;  // each grant stays unresolved for 50 ms
+  ResultLog log;
+  ReaderGateway gateway(cluster, config);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t c = 1; c <= 10; ++c)
+    ASSERT_TRUE(gateway.submit(1, request_wire(1, c, key), log.recorder()));
+  const double submit_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  gateway.finish();
+
+  const GatewayStats stats = gateway.stats();
+  EXPECT_GE(outcome(stats, AccessStatus::kShed), 1u);  // the flood outran the window
+  EXPECT_EQ(outcome(stats, AccessStatus::kGranted) + outcome(stats, AccessStatus::kShed), 10u);
+  EXPECT_EQ(log.results.size(), 10u);  // every submit got exactly one callback
+  // Blocking backpressure would have waited out at least one 50 ms park.
+  EXPECT_LT(submit_s, config.io_wait_s);
+}
+
+TEST(ReaderGatewayTest, ConcurrentSoakCountsAreConsistent) {
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  cluster_config.vault.shards = 4;
+  // Counters arrive out of order across producers and lanes — the wide
+  // replay window keeps legitimate stragglers inside it.
+  cluster_config.vault.replay_window_bits = 512;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(45);
+
+  constexpr std::uint64_t kSessions = 16;
+  std::vector<SessionKey> keys;
+  for (std::uint64_t sid = 0; sid < kSessions; ++sid) {
+    keys.push_back(random_key(drbg));
+    ASSERT_TRUE(cluster.install(sid, keys.back()));
+  }
+
+  // No sheds in this test: the window holds the full flood, so the ledger
+  // below is exact.
+  GatewayConfig config = admitting_config(4, 1e6);
+  config.queue_capacity = 512;
+  ResultLog log;
+  ReaderGateway gateway(cluster, config);
+
+  // 4 producer threads x 64 unique requests each; every 4th frame is also
+  // submitted a second time, byte for byte, under a new request id. Exactly
+  // one copy of each duplicated frame may be granted — which copy wins is a
+  // scheduling race, but the *count* is deterministic.
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 4; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < 64; ++i) {
+        const std::uint64_t sid = (static_cast<std::uint64_t>(p) * 64 + i) % kSessions;
+        const std::uint64_t counter = 1 + static_cast<std::uint64_t>(p) * 64 + i;
+        const Bytes wire = request_wire(sid, counter, keys[sid]);
+        ASSERT_TRUE(gateway.submit(sid, wire, log.recorder()));
+        if (i % 4 == 0) {
+          ASSERT_TRUE(gateway.submit(sid, wire, log.recorder()));
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  gateway.finish();
+
+  // 256 unique frames, 64 duplicated: every unique frame granted exactly
+  // once, every duplicate pair contributes exactly one replay rejection —
+  // i.e. zero double-grants.
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(outcome(stats, AccessStatus::kGranted), 4u * 64u);
+  EXPECT_EQ(outcome(stats, AccessStatus::kReplay), 4u * 16u);
+  EXPECT_EQ(outcome(stats, AccessStatus::kShed), 0u);
+  EXPECT_EQ(outcome(stats, AccessStatus::kRateLimited), 0u);
+  EXPECT_EQ(stats.submitted, 4u * 80u);
+  EXPECT_EQ(stats.submitted, stats.resolved);
+  EXPECT_EQ(stats.submitted, outcome(stats, AccessStatus::kGranted) +
+                                 outcome(stats, AccessStatus::kReplay));
+  EXPECT_EQ(log.results.size(), stats.submitted);
+  EXPECT_EQ(cluster.stats().vault_grants, 4u * 64u);
+}
+
+TEST(ReaderGatewayTest, StatsSnapshotIsConsistentMidFlight) {
+  // The counters move under one lock, so EVERY snapshot — taken while
+  // submitters, lanes and parked actuations race — satisfies the exact
+  // invariants, not just the quiescent ones.
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  cluster_config.vault.replay_window_bits = 512;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(61);
+
+  constexpr std::uint64_t kSessions = 8;
+  std::vector<SessionKey> keys;
+  for (std::uint64_t sid = 0; sid < kSessions; ++sid) {
+    keys.push_back(random_key(drbg));
+    ASSERT_TRUE(cluster.install(sid, keys.back()));
+  }
+
+  GatewayConfig config = admitting_config(4, 1e6);
+  config.queue_capacity = 512;
+  config.io_wait_s = 0.0005;  // keeps a real in-flight population visible
+  ReaderGateway gateway(cluster, config);
+
+  std::atomic<bool> done{false};
+  std::uint64_t snapshots = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const GatewayStats snap = gateway.stats();
+      ASSERT_EQ(snap.resolved, outcome_sum(snap))
+          << "torn snapshot: resolved=" << snap.resolved << " sum=" << outcome_sum(snap);
+      ASSERT_LE(snap.resolved, snap.submitted);
+      const std::uint64_t in_flight = snap.submitted - snap.resolved;
+      // A request parked on actuation is always also in flight.
+      ASSERT_LE(snap.suspended, in_flight)
+          << "torn snapshot: suspended=" << snap.suspended << " in_flight=" << in_flight;
+      ASSERT_LE(snap.suspended, snap.peak_suspended);
+      ASSERT_LE(in_flight, snap.peak_in_flight);
+      ++snapshots;
+    }
+  });
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 4; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < 100; ++i) {
+        const std::uint64_t sid = (static_cast<std::uint64_t>(p) * 100 + i) % kSessions;
+        const std::uint64_t counter = 1 + static_cast<std::uint64_t>(p) * 100 + i;
+        ASSERT_TRUE(gateway.submit(sid, request_wire(sid, counter, keys[sid]), nullptr));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  gateway.finish();
+  done.store(true);
+  sampler.join();
+
+  const GatewayStats final_stats = gateway.stats();
+  EXPECT_EQ(final_stats.submitted, 400u);
+  EXPECT_EQ(final_stats.resolved, 400u);  // finish() drained everything
+  EXPECT_EQ(final_stats.suspended, 0u);   // nothing left parked either
+  EXPECT_EQ(final_stats.submitted, outcome_sum(final_stats));
+  EXPECT_GE(final_stats.peak_in_flight, final_stats.peak_suspended);
+  EXPECT_GT(snapshots, 0u);
+}
+
+TEST(ReaderGatewayTest, SuspendedGrantsOverlapBeyondThreadCount) {
+  // Grants parked on actuation I/O hold no lane, so the in-flight
+  // population is bounded by the admission window, not the lane count. 64
+  // grants with 30 ms actuation on ONE lane must overlap (wall time far
+  // under the serial 1.92 s) and the gateway must report them parked
+  // concurrently.
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  cluster_config.vault.replay_window_bits = 512;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(62);
+  const SessionKey key = random_key(drbg);
+  ASSERT_TRUE(cluster.install(1, key));
+
+  GatewayConfig config = admitting_config(1, 1e6);
+  config.queue_capacity = 256;
+  config.io_wait_s = 0.030;
+  ResultLog log;
+  ReaderGateway gateway(cluster, config);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t c = 1; c <= 64; ++c)
+    ASSERT_TRUE(gateway.submit(1, request_wire(1, c, key), log.recorder()));
+  gateway.finish();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(outcome(stats, AccessStatus::kGranted), 64u);
+  EXPECT_EQ(outcome(stats, AccessStatus::kShed), 0u);
+  // Concurrency evidence from both axes: wall clock (64 x 30 ms serial
+  // would be ~1.9 s) and the gateway's own high-water mark.
+  EXPECT_LT(elapsed, 1.0);
+  EXPECT_GE(stats.peak_suspended, 8u);
+  EXPECT_EQ(stats.suspended, 0u);
+
+  // The park is reported in suspended_s, not in verify_s.
+  ASSERT_EQ(log.results.size(), 64u);
+  for (const GatewayResult& result : log.results) {
+    ASSERT_EQ(result.status, AccessStatus::kGranted);
+    EXPECT_GE(result.suspended_s, 0.029);
+    EXPECT_LT(result.verify_s, 0.020);
+  }
+}
+
+TEST(ReaderGatewayTest, PairingHandoffFeedsTheVault) {
+  const core::WaveKeyConfig wk;
+  const core::SeedQuantizer quantizer = core::SeedQuantizer::from_normal(wk);
+
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  VaultCluster cluster(cluster_config);
+
+  core::PairingEngineConfig engine_config;
+  engine_config.threads = 2;
+  engine_config.session.tau_s = wk.tau_s;
+  engine_config.session.gesture_window_s = wk.gesture_window_s;
+  engine_config.session.params.key_bits = wk.key_bits;
+  engine_config.session.params.eta = wk.eta;
+  // Streaming handoff: keys land in the vault the moment pairing succeeds.
+  engine_config.on_established = [&](std::uint64_t id, const BitVec& key) {
+    EXPECT_TRUE(cluster.install(id, key.slice(0, 256).to_bytes()));
+  };
+
+  core::PairingEngine engine(quantizer, engine_config);
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    Rng rng(id * 6151 + 29);
+    core::PairingRequest req;
+    req.id = id;
+    req.rng_seed = id * 7919 + 17;
+    req.mobile_latent.resize(quantizer.latent_dim());
+    req.server_latent.resize(quantizer.latent_dim());
+    for (std::size_t d = 0; d < quantizer.latent_dim(); ++d) {
+      req.mobile_latent[d] = rng.normal();
+      req.server_latent[d] = req.mobile_latent[d] + rng.normal(0.0, 0.03);
+    }
+    ASSERT_TRUE(engine.submit(std::move(req)));
+  }
+  const std::vector<core::PairingReport> reports = engine.finish();
+
+  ResultLog log;
+  std::uint64_t expected_grants = 0;
+  ReaderGateway gateway(cluster, admitting_config(2, 32.0));
+  for (const core::PairingReport& report : reports) {
+    ASSERT_TRUE(report.success);
+    // Client side: the mobile's established key authenticates its requests.
+    const std::vector<std::uint8_t> key_bytes = report.key.slice(0, 256).to_bytes();
+    SessionKey key{};
+    std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+    ASSERT_TRUE(gateway.submit(1, request_wire(report.id, 1, key), log.recorder()));
+    ++expected_grants;
+  }
+  gateway.finish();
+  EXPECT_EQ(outcome(gateway.stats(), AccessStatus::kGranted), expected_grants);
+  EXPECT_EQ(log.count(AccessStatus::kGranted), expected_grants);
 }

@@ -293,11 +293,13 @@ TEST(AsyncQueue, BlockingPushAtCapacityWaitsForConsumer) {
   ASSERT_TRUE(loop.spawn(pop_one(&queue, &got)));
   producer.join();
   EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(got.load(), 1);
   EXPECT_EQ(queue.size(), 1u);  // item 2 waits for the next consumer
   queue.close();
   loop.close();
   loop.drain();
+  // The pop unblocks the producer before pop_one stores what it got, so
+  // `got` is only settled once the consumer task has finished.
+  EXPECT_EQ(got.load(), 1);
 }
 
 // The satellite fix this PR makes to gateway shutdown: consumers parked in

@@ -1,4 +1,4 @@
-// Tests of the offline-grant subsystem (DESIGN.md §14): the KdfTree
+// Tests of the offline-grant subsystem (DESIGN.md §13): the KdfTree
 // diversification hierarchy (sibling independence under rotation), the
 // GrantToken wire format (round-trip + 1000-mutation typed-errors-only
 // fuzz: a content mutation can never be granted), the vault-free

@@ -1,4 +1,4 @@
-// Tests for the cross-session batched inference stage (DESIGN.md §11):
+// Tests for the cross-session batched inference stage (DESIGN.md §10):
 // runtime::MicroBatcher dispatch/drain edge cases and exactly-once
 // resolution under concurrency (the TSan-leg soak), the nn::BatchedInference
 // lowering (batch-of-1 bit-identity, cross-batch tolerance, zero
@@ -292,7 +292,7 @@ TEST(BatchedInference, BatchOfOneIsBitIdenticalToSerialPath) {
 
 TEST(BatchedInference, BatchMatchesSerialWithinTolerance) {
   // Batch > 1 uses different (but fixed) reduction orders, so the contract
-  // is the kernel-equivalence tolerance, not bit-identity (DESIGN.md §11.4).
+  // is the kernel-equivalence tolerance, not bit-identity (DESIGN.md §10.4).
   Rng rng(94);
   core::EncoderPair encoders(12, rng);
   nn::BatchedInference imu_infer(encoders.imu_encoder(), 3, 200);

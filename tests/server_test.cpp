@@ -2,15 +2,14 @@
 // HKDF vectors, the sliding-bitmap replay window, token-bucket admission,
 // the AccessRequest/AccessGrant wire codec (+ malformed-input fuzzing in
 // the style of protocol_test.cpp), the sharded KeyVault lifecycle (TTL
-// boundary, revocation, rotation epochs, LRU pressure), NIST randomness of
-// rotated keys, the AccessServer end-to-end path, and the pairing-engine →
-// vault handoff.
+// boundary, revocation, rotation epochs, LRU pressure) and NIST randomness
+// of rotated keys. The serving front end (ReaderGateway -> VaultCluster) is
+// tested in cluster_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <limits>
 #include <list>
 #include <mutex>
@@ -21,15 +20,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/pairing_engine.hpp"
-#include "core/seed_quantizer.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
 #include "nist/nist.hpp"
 #include "numeric/rng.hpp"
-#include "server/access_server.hpp"
 #include "server/admission.hpp"
 #include "server/key_vault.hpp"
 #include "server/replay_window.hpp"
@@ -1074,388 +1069,4 @@ TEST(KeyVaultTest, RotatedKeysPassNistBattery) {
   EXPECT_GE(nist::longest_run_test(chain), 0.01);
   EXPECT_GE(nist::cusum_test(chain), 0.01);
   EXPECT_GE(nist::approximate_entropy_test(chain), 0.01);
-}
-
-// --- access server end-to-end ---
-
-namespace {
-
-struct OutcomeLog {
-  std::mutex mutex;
-  std::vector<AccessOutcome> outcomes;
-
-  AccessServer::Callback recorder() {
-    return [this](const AccessOutcome& outcome) {
-      std::lock_guard<std::mutex> lock(mutex);
-      outcomes.push_back(outcome);
-    };
-  }
-};
-
-}  // namespace
-
-TEST(AccessServerTest, GrantsValidRequestsAndMacsTheGrant) {
-  AccessServerConfig config;
-  config.threads = 2;
-  crypto::Drbg rng(41);
-  AccessServer server(config);
-  const SessionKey key = random_key(rng);
-  ASSERT_TRUE(server.vault().install(1, key, server.now_s()));
-
-  OutcomeLog log;
-  for (std::uint64_t c = 1; c <= 8; ++c) {
-    const AccessRequest req = make_access_request(1, 0, c, nonce_from(c), {1}, key);
-    ASSERT_TRUE(server.submit(c, /*tenant=*/1, req.serialize(), log.recorder()));
-  }
-  server.finish();
-
-  ASSERT_EQ(log.outcomes.size(), 8u);
-  for (const AccessOutcome& outcome : log.outcomes) {
-    EXPECT_EQ(outcome.status, AccessStatus::kGranted);
-    const AccessGrant grant = AccessGrant::parse(outcome.grant_wire);
-    EXPECT_EQ(grant.status, AccessStatus::kGranted);
-    EXPECT_TRUE(verify_access_grant(grant, key));
-  }
-  EXPECT_EQ(server.stats().granted, 8u);
-}
-
-TEST(AccessServerTest, SubmitPathBackgroundPurgeReclaimsExpiredSessions) {
-  // Sessions that expire and are never addressed again must still be
-  // reclaimed: the submit path CAS-claims vault_purge_interval_s and spawns
-  // a one-shot sweep coroutine, regardless of which session the traffic
-  // itself targets (here: malformed frames that never reach the vault).
-  AccessServerConfig config;
-  config.threads = 1;
-  config.vault.ttl_s = 0.05;
-  config.vault.capacity = 256;
-  config.vault_purge_interval_s = 0.01;
-  crypto::Drbg rng(44);
-  AccessServer server(config);
-  for (std::uint64_t id = 10; id < 60; ++id)
-    ASSERT_TRUE(server.vault().install(id, random_key(rng), server.now_s()));
-  ASSERT_EQ(server.vault().stats().resident_entries, 50u);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));  // every TTL lapses
-  OutcomeLog log;
-  for (std::uint64_t tag = 1; tag <= 100; ++tag) {
-    ASSERT_TRUE(server.submit(tag, 1, Bytes{0xFF}, log.recorder()));
-    if (server.vault().stats().purged_expired >= 50) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  server.finish();
-
-  const VaultStats stats = server.vault().stats();
-  EXPECT_EQ(stats.purged_expired, 50u);
-  EXPECT_EQ(stats.ttl_evictions, 50u);
-  EXPECT_EQ(stats.resident_entries, 0u);
-  EXPECT_EQ(server.vault().size(), 0u);
-}
-
-TEST(AccessServerTest, MalformedAndUnknownAreTyped) {
-  AccessServerConfig config;
-  AccessServer server(config);
-  OutcomeLog log;
-  ASSERT_TRUE(server.submit(1, 1, Bytes{0xFF, 0x00, 0x01}, log.recorder()));
-  crypto::Drbg rng(42);
-  const AccessRequest req = make_access_request(99, 0, 1, nonce_from(1), {}, random_key(rng));
-  ASSERT_TRUE(server.submit(2, 1, req.serialize(), log.recorder()));
-  server.finish();
-
-  ASSERT_EQ(log.outcomes.size(), 2u);
-  for (const AccessOutcome& outcome : log.outcomes) {
-    if (outcome.tag == 1)
-      EXPECT_EQ(outcome.status, AccessStatus::kMalformed);
-    else
-      EXPECT_EQ(outcome.status, AccessStatus::kUnknownSession);
-  }
-  EXPECT_EQ(server.stats().malformed, 1u);
-  EXPECT_EQ(server.stats().unknown_session, 1u);
-}
-
-TEST(AccessServerTest, RateLimitingIsPerTenantAndTyped) {
-  AccessServerConfig config;
-  config.admission.rate_per_s = 1e-6;  // effectively no refill in-test
-  config.admission.burst = 2.0;
-  crypto::Drbg rng(43);
-  AccessServer server(config);
-  const SessionKey key = random_key(rng);
-  ASSERT_TRUE(server.vault().install(1, key, server.now_s()));
-
-  OutcomeLog log;
-  for (std::uint64_t c = 1; c <= 5; ++c) {
-    const AccessRequest req = make_access_request(1, 0, c, nonce_from(c), {}, key);
-    ASSERT_TRUE(server.submit(c, /*tenant=*/7, req.serialize(), log.recorder()));
-  }
-  server.finish();
-
-  const AccessServerStats stats = server.stats();
-  EXPECT_EQ(stats.granted, 2u);
-  EXPECT_EQ(stats.rate_limited, 3u);
-  int limited = 0;
-  for (const AccessOutcome& outcome : log.outcomes)
-    if (outcome.status == AccessStatus::kRateLimited) ++limited;
-  EXPECT_EQ(limited, 3);
-}
-
-TEST(AccessServerTest, OverloadShedsInsteadOfBlocking) {
-  AccessServerConfig config;
-  config.threads = 1;
-  config.queue_capacity = 1;
-  config.io_wait_s = 0.05;  // worker holds each grant for 50 ms
-  config.admission.burst = 1000.0;
-  crypto::Drbg rng(44);
-  AccessServer server(config);
-  const SessionKey key = random_key(rng);
-  ASSERT_TRUE(server.vault().install(1, key, server.now_s()));
-
-  OutcomeLog log;
-  for (std::uint64_t c = 1; c <= 10; ++c) {
-    const AccessRequest req = make_access_request(1, 0, c, nonce_from(c), {}, key);
-    ASSERT_TRUE(server.submit(c, 1, req.serialize(), log.recorder()));
-  }
-  server.finish();
-
-  const AccessServerStats stats = server.stats();
-  EXPECT_GE(stats.shed, 1u);  // the flood outran queue capacity
-  EXPECT_EQ(stats.granted + stats.shed, 10u);
-  EXPECT_EQ(log.outcomes.size(), 10u);  // every submit got exactly one callback
-}
-
-TEST(AccessServerTest, ConcurrentSoakCountsAreConsistent) {
-  AccessServerConfig config;
-  config.threads = 4;
-  // No sheds in this test: the queue holds the full flood, so the ledger
-  // below is exact. (Counters arrive out of order across producers — the
-  // wide replay window keeps legitimate stragglers inside it.)
-  config.queue_capacity = 512;
-  config.admission.burst = 1e6;
-  config.vault.shards = 4;
-  config.vault.replay_window_bits = 512;
-  crypto::Drbg rng(45);
-  AccessServer server(config);
-
-  constexpr std::uint64_t kSessions = 16;
-  std::vector<SessionKey> keys;
-  for (std::uint64_t id = 0; id < kSessions; ++id) {
-    keys.push_back(random_key(rng));
-    ASSERT_TRUE(server.vault().install(id, keys.back(), server.now_s()));
-  }
-
-  // 4 producer threads × 64 unique requests each; every 4th frame is also
-  // submitted a second time, byte for byte. Exactly one copy of each
-  // duplicated frame may be granted — which copy wins is a scheduling race,
-  // but the *count* is deterministic.
-  OutcomeLog log;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < 64; ++i) {
-        const std::uint64_t session = (static_cast<std::uint64_t>(p) * 64 + i) % kSessions;
-        const std::uint64_t counter = 1 + static_cast<std::uint64_t>(p) * 64 + i;
-        const AccessRequest req = make_access_request(session, 0, counter,
-                                                      nonce_from(counter), {}, keys[session]);
-        const Bytes wire = req.serialize();
-        ASSERT_TRUE(server.submit(counter, session, wire, log.recorder()));
-        if (i % 4 == 0) {
-          ASSERT_TRUE(server.submit(100000 + counter, session, wire, log.recorder()));
-        }
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  server.finish();
-
-  // 256 unique frames, 64 duplicated: every unique frame granted exactly
-  // once, every duplicate pair contributes exactly one replay rejection —
-  // i.e. zero double-grants.
-  const AccessServerStats stats = server.stats();
-  EXPECT_EQ(stats.granted, 4u * 64u);
-  EXPECT_EQ(stats.replay_rejected, 4u * 16u);
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.rate_limited, 0u);
-  EXPECT_EQ(stats.submitted,
-            stats.granted + stats.replay_rejected + stats.shed + stats.rate_limited);
-  EXPECT_EQ(log.outcomes.size(), stats.submitted);
-}
-
-namespace {
-
-std::uint64_t outcome_sum(const AccessServerStats& s) {
-  return s.granted + s.unknown_session + s.expired + s.revoked + s.stale_epoch + s.bad_mac +
-         s.replay_rejected + s.rate_limited + s.shed + s.malformed;
-}
-
-}  // namespace
-
-TEST(AccessServerTest, StatsSnapshotIsConsistentMidFlight) {
-  // The counters move under one lock, so EVERY snapshot — taken while
-  // submitters and workers race — satisfies the exact invariant
-  // submitted == sum(outcomes) + in_flight. With torn multi-atomic reads
-  // this held only at quiescence; now it holds mid-flight.
-  AccessServerConfig config;
-  config.threads = 4;
-  config.queue_capacity = 512;
-  config.io_wait_s = 0.0005;  // keeps a real in-flight population visible
-  config.admission.burst = 1e6;
-  config.vault.replay_window_bits = 512;
-  crypto::Drbg rng(61);
-  AccessServer server(config);
-
-  constexpr std::uint64_t kSessions = 8;
-  std::vector<SessionKey> keys;
-  for (std::uint64_t id = 0; id < kSessions; ++id) {
-    keys.push_back(random_key(rng));
-    ASSERT_TRUE(server.vault().install(id, keys.back(), server.now_s()));
-  }
-
-  std::atomic<bool> done{false};
-  std::uint64_t snapshots = 0, inflight_seen = 0, suspended_seen = 0;
-  std::thread sampler([&] {
-    while (!done.load()) {
-      const AccessServerStats snap = server.stats();
-      ASSERT_EQ(snap.submitted, outcome_sum(snap) + snap.in_flight)
-          << "torn snapshot: submitted=" << snap.submitted << " sum=" << outcome_sum(snap)
-          << " in_flight=" << snap.in_flight;
-      // The suspended counter rides the same lock: a request parked on
-      // actuation is always also in flight, in every snapshot.
-      ASSERT_LE(snap.suspended, snap.in_flight)
-          << "torn snapshot: suspended=" << snap.suspended
-          << " in_flight=" << snap.in_flight;
-      ASSERT_LE(snap.suspended, snap.peak_suspended);
-      ASSERT_LE(snap.in_flight, snap.peak_in_flight);
-      ++snapshots;
-      if (snap.in_flight > 0) ++inflight_seen;
-      if (snap.suspended > 0) ++suspended_seen;
-    }
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < 100; ++i) {
-        const std::uint64_t session = (static_cast<std::uint64_t>(p) * 100 + i) % kSessions;
-        const std::uint64_t counter = 1 + static_cast<std::uint64_t>(p) * 100 + i;
-        const AccessRequest req = make_access_request(session, 0, counter, nonce_from(counter),
-                                                      {}, keys[session]);
-        ASSERT_TRUE(server.submit(counter, session, req.serialize(), nullptr));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  server.finish();
-  done.store(true);
-  sampler.join();
-
-  const AccessServerStats final_stats = server.stats();
-  EXPECT_EQ(final_stats.submitted, 400u);
-  EXPECT_EQ(final_stats.in_flight, 0u);  // finish() drained everything
-  EXPECT_EQ(final_stats.suspended, 0u);  // nothing left parked either
-  EXPECT_EQ(final_stats.submitted, outcome_sum(final_stats));
-  EXPECT_GE(final_stats.peak_in_flight, final_stats.peak_suspended);
-  EXPECT_GT(snapshots, 0u);
-  // Not asserted (scheduling-dependent), but nearly always nonzero — the
-  // sampler genuinely observes requests mid-flight:
-  (void)inflight_seen;
-  (void)suspended_seen;
-}
-
-TEST(AccessServerTest, SuspendedGrantsOverlapBeyondThreadCount) {
-  // The coroutine refactor's headline property: grants parked on actuation
-  // I/O hold no worker, so the in-flight population is bounded by the
-  // admission window, not the thread count. 64 grants with 30 ms actuation
-  // on ONE thread must overlap (wall time far under the serial 1.92 s) and
-  // the server must report them parked concurrently.
-  AccessServerConfig config;
-  config.threads = 1;
-  config.queue_capacity = 256;
-  config.io_wait_s = 0.030;
-  config.admission.burst = 1e6;
-  config.vault.replay_window_bits = 512;
-  crypto::Drbg rng(62);
-  AccessServer server(config);
-  const SessionKey key = random_key(rng);
-  ASSERT_TRUE(server.vault().install(1, key, server.now_s()));
-
-  OutcomeLog log;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t c = 1; c <= 64; ++c) {
-    const AccessRequest req = make_access_request(1, 0, c, nonce_from(c), {}, key);
-    ASSERT_TRUE(server.submit(c, 1, req.serialize(), log.recorder()));
-  }
-  server.finish();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  const AccessServerStats stats = server.stats();
-  EXPECT_EQ(stats.granted, 64u);
-  EXPECT_EQ(stats.shed, 0u);
-  // Concurrency evidence from both axes: wall clock (64 x 30 ms serial
-  // would be ~1.9 s) and the server's own high-water mark.
-  EXPECT_LT(elapsed, 1.0);
-  EXPECT_GE(stats.peak_suspended, 8u);
-  EXPECT_EQ(stats.suspended, 0u);
-
-  // suspended_s is reported separately: the park shows up there, NOT in
-  // queue_wait_s (satellite fix — queue_wait_s used to absorb worker-held
-  // time under load) and not in verify_s.
-  for (const AccessOutcome& outcome : log.outcomes) {
-    ASSERT_EQ(outcome.status, AccessStatus::kGranted);
-    EXPECT_GE(outcome.suspended_s, 0.029);
-    EXPECT_LT(outcome.verify_s, 0.020);
-  }
-}
-
-// --- pairing engine → vault handoff ---
-
-TEST(AccessServerTest, PairingHandoffFeedsTheVault) {
-  const core::WaveKeyConfig wk;
-  const core::SeedQuantizer quantizer = core::SeedQuantizer::from_normal(wk);
-
-  AccessServerConfig server_config;
-  server_config.threads = 2;
-  AccessServer server(server_config);
-
-  core::PairingEngineConfig engine_config;
-  engine_config.threads = 2;
-  engine_config.session.tau_s = wk.tau_s;
-  engine_config.session.gesture_window_s = wk.gesture_window_s;
-  engine_config.session.params.key_bits = wk.key_bits;
-  engine_config.session.params.eta = wk.eta;
-  // Streaming handoff: keys land in the vault the moment pairing succeeds.
-  engine_config.on_established = [&](std::uint64_t id, const BitVec& key) {
-    server.vault().install(id, key, server.now_s());
-  };
-
-  core::PairingEngine engine(quantizer, engine_config);
-  for (std::uint64_t id = 0; id < 4; ++id) {
-    Rng rng(id * 6151 + 29);
-    core::PairingRequest req;
-    req.id = id;
-    req.rng_seed = id * 7919 + 17;
-    req.mobile_latent.resize(quantizer.latent_dim());
-    req.server_latent.resize(quantizer.latent_dim());
-    for (std::size_t d = 0; d < quantizer.latent_dim(); ++d) {
-      req.mobile_latent[d] = rng.normal();
-      req.server_latent[d] = req.mobile_latent[d] + rng.normal(0.0, 0.03);
-    }
-    ASSERT_TRUE(engine.submit(std::move(req)));
-  }
-  const std::vector<core::PairingReport> reports = engine.finish();
-
-  OutcomeLog log;
-  std::uint64_t expected_grants = 0;
-  for (const core::PairingReport& report : reports) {
-    ASSERT_TRUE(report.success);
-    // Client side: the mobile's established key authenticates its requests.
-    const std::vector<std::uint8_t> key_bytes = report.key.slice(0, 256).to_bytes();
-    SessionKey key{};
-    std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
-    const AccessRequest req = make_access_request(report.id, 0, 1, nonce_from(1), {}, key);
-    ASSERT_TRUE(server.submit(report.id, 1, req.serialize(), log.recorder()));
-    ++expected_grants;
-  }
-  server.finish();
-  EXPECT_EQ(server.stats().granted, expected_grants);
-  for (const AccessOutcome& outcome : log.outcomes)
-    EXPECT_EQ(outcome.status, AccessStatus::kGranted);
 }

@@ -62,7 +62,7 @@ throughput_gate() {
 }
 
 batch_gate() {
-  # Batched-encoder claims (DESIGN.md §11), re-derived from the JSON that
+  # Batched-encoder claims (DESIGN.md §10), re-derived from the JSON that
   # throughput_gate emitted (see gate_batch in tools/gates.py).
   echo "=== [plain] batched-encoder gate ==="
   python3 tools/gates.py batch build-ci/bench_throughput.json
@@ -80,7 +80,7 @@ server_gate() {
 }
 
 async_gate() {
-  # Async serving-core claims (DESIGN.md §12), re-derived from the JSONs
+  # Async serving-core claims (DESIGN.md §11), re-derived from the JSONs
   # that server_gate and cluster_gate emitted (see gate_async in
   # tools/gates.py). Then the fresh bench_server latency percentiles are
   # diffed against the committed BENCH_server.json via bench_compare
@@ -195,7 +195,7 @@ case "$MODE" in
   --plain-only|--sanitize-only|--perf-only) ;;
   *)
     # TSan is scoped to the concurrency suites (compute-pool fork-join +
-    # pairing engine + event loop + access server + vault cluster/gateway)
+    # pairing engine + event loop + vault cluster/gateway front end)
     # plus the kernel-equivalence and training-determinism suites, which
     # drive the GEMM kernels and training through the compute pool: that is
     # where the shared mutable state lives, and the 5-15x TSan slowdown makes
@@ -206,7 +206,7 @@ case "$MODE" in
     cmake --build build-ci-tsan -j "$JOBS" \
       --target compute_pool_test pairing_engine_test kernel_equiv_test server_test cluster_test \
                grants_test micro_batcher_test event_loop_test flat_map_test
-    TSAN_SUITES='ComputePool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+    TSAN_SUITES='ComputePool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     # Every alternative must select at least one built test, so a renamed
     # suite or a missing --target can never silently drop out of TSan.
     for suite in ${TSAN_SUITES//|/ }; do

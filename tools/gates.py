@@ -43,7 +43,7 @@ def gate_throughput(path):
 
 
 def gate_batch(path):
-    """Re-derives the batched-encoder claims (DESIGN.md §11) from the
+    """Re-derives the batched-encoder claims (DESIGN.md §10) from the
     bench_throughput JSON: >= 2x the unbatched arm's sessions/sec at 8
     threads, a universally successful integrated engine+service run with zero
     tau violations, and genuine coalescing (mean batch > 1), so the speedup
@@ -112,7 +112,7 @@ def gate_server(path):
 
 
 def gate_async(server_path, cluster_path):
-    """Re-derives the async serving-core claims (DESIGN.md §12) from the
+    """Re-derives the async serving-core claims (DESIGN.md §11) from the
     bench_server and bench_cluster JSONs: >= 10k grants in flight (and
     suspended) on 4 threads with nothing shed and the exactly-once ledger
     intact, and a pooled gateway wire path that stopped allocating after
